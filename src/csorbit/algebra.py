@@ -155,10 +155,14 @@ class MeasureSpec:
     radius: float = math.inf
 
     _KINDS = ("gaussian", "fubini-study", "bergman-disk", "none")
+    _REQUIRED_PARAM = {"fubini-study": "j", "bergman-disk": "k"}
 
     def __post_init__(self):
         if self.kind not in self._KINDS:
             raise ModelStructureError(f"unknown measure kind {self.kind!r}")
+        key = self._REQUIRED_PARAM.get(self.kind)
+        if key is not None and key not in self.params:
+            raise ModelStructureError(f"{self.kind} measure needs parameter {key!r}")
         if self.domain not in ("plane", "disk"):
             raise ModelStructureError(f"unknown chart domain {self.domain!r}")
         if self.domain == "disk" and not (0 < self.radius < math.inf):
@@ -374,24 +378,44 @@ def _row_exp(row: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
-    """Numeric covector field at z: e0^dagger exp(sum_a z_a B_a) for the sum
-    chart, e0^dagger exp(z_n B_n) ... exp(z_1 B_1) for the product chart."""
+def covector_direct(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
+    """Numeric covector e0^dagger exp(sum_a z_a B_a) (sum chart) or
+    e0^dagger exp(z_n B_n) ... exp(z_1 B_1) (product chart), computed from
+    the chart matrices by :func:`_row_exp` without the symbolic series.
+
+    Validation uses it to prove that the series terminates before anything
+    symbolic is built; the round-trip check uses it as a reference for the
+    series that :func:`covector_numeric` reads."""
     _, B, e0_row, _, _ = _chart(model)
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != model.n:
         raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
     d = model.dim_rep
-    row = e0_row
     if model.chart == "sum":
         M = np.zeros((d, d), dtype=complex)
         for za, b in zip(z, B):
             M += za * b
-        row = _row_exp(row, M, d)
-    else:
-        for a in range(model.n - 1, -1, -1):
-            row = _row_exp(row, z[a] * B[a], d)
+        return _row_exp(e0_row, M, d)
+    row = e0_row
+    for a in range(model.n - 1, -1, -1):
+        row = _row_exp(row, z[a] * B[a], d)
     return row
+
+
+def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
+    """Covector field omega(z) at a point, read from the dense table of the
+    cached symbolic series (``orbit.coherent_covector``).
+
+    It equals :func:`covector_direct` up to rounding, except where the
+    series dropped a coefficient below ``polyops.PRUNE_TOL``: on heisenberg
+    with ``trunc >= 27`` the entries k >= 27 (coefficient 1/sqrt(k!)) read
+    0, which matters at |z| of a few units."""
+    from . import orbit  # orbit imports this module
+
+    z = np.asarray(z, dtype=complex).reshape(-1)
+    if z.shape[0] != model.n:
+        raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
+    return orbit.coherent_covector(model).table.eval(z)
 
 
 def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationReport:
@@ -446,7 +470,7 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
                 if model.grading[b_idx] < g:
                     z[b_idx] = 0.0
             try:
-                row = covector_numeric(model, z)
+                row = covector_direct(model, z)
             except ModelValidationError:
                 tri = math.inf
                 break

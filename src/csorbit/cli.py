@@ -95,9 +95,22 @@ def _parse_complex(token: str) -> complex:
 def _parse_quad(text: str) -> tuple[int, int]:
     try:
         r_s, a_s = text.split(",", 1)
-        return int(r_s), int(a_s)
+        radial, angular = int(r_s), int(a_s)
     except ValueError as exc:
         raise CsorbitError(f"cannot parse quadrature spec {text!r} (want R,A)") from exc
+    if radial < 1 or angular < 1:
+        raise CsorbitError(f"quadrature spec {text!r} needs node counts >= 1")
+    return radial, angular
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, help="ladder truncation level")
         p.add_argument("--margin", type=int, help="truncation margin")
         p.add_argument("--tol", type=float, help="override all check tolerances")
-        p.add_argument("--degree-cap", type=int, default=realize.DEGREE_CAP)
+        p.add_argument("--degree-cap", type=_positive_int, default=realize.DEGREE_CAP)
         p.add_argument("--quad", default="64,64", help="radial,angular quadrature nodes")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
 
@@ -148,6 +161,25 @@ def _exp_element(model, spec_text: str) -> np.ndarray:
     idx = model.spec.basis_labels.index(label)
     t = _parse_complex(t_text)
     return orbit.group_element(model, AlgebraElement.basis(model.spec.dim, idx), t)
+
+
+def _cocycle_pair(model, args) -> tuple[np.ndarray, np.ndarray] | None:
+    """The fixed (g1, g2) of the cocycle check from --g1-/--g2- files or
+    exponentials, or None for random pairs.  Read before any check runs, so
+    that a malformed element is a usage error, not a failed check."""
+    if args.g1_file or args.g2_file:
+        if not (args.g1_file and args.g2_file):
+            raise CsorbitError("cocycle from files needs both --g1-file and --g2-file")
+        pair = read_complex_matrix(args.g1_file), read_complex_matrix(args.g2_file)
+        d = model.dim_rep
+        if any(g.shape != (d, d) for g in pair):
+            raise CsorbitError(f"group element files must hold {d} x {d} matrices")
+        return pair
+    if args.g1_exp or args.g2_exp:
+        if not (args.g1_exp and args.g2_exp):
+            raise CsorbitError("cocycle from exponentials needs both --g1-exp and --g2-exp")
+        return _exp_element(model, args.g1_exp), _exp_element(model, args.g2_exp)
+    return None
 
 
 def _load(args) -> object:
@@ -277,6 +309,7 @@ def _run_checks(model, names, args) -> list[dict]:
     rng = np.random.default_rng(RNG_SEED)
     tol_of = lambda name: args.tol if args.tol is not None else DEFAULT_TOLS.get(name)
     radial, angular = _parse_quad(args.quad)
+    fixed_pair = _cocycle_pair(model, args)
     solver_tol = realize.SOLVER_TOL  # --tol overrides check tolerances, not the solver
 
     table = None
@@ -372,18 +405,8 @@ def _run_checks(model, names, args) -> list[dict]:
             simple(name, worst, tol)
         elif name == "cocycle":
             worst = 0.0
-            g1 = g2 = None
-            if args.g1_file or args.g2_file:
-                if not (args.g1_file and args.g2_file):
-                    raise CsorbitError("cocycle from files needs both --g1-file and --g2-file")
-                g1 = read_complex_matrix(args.g1_file)
-                g2 = read_complex_matrix(args.g2_file)
-            elif args.g1_exp or args.g2_exp:
-                if not (args.g1_exp and args.g2_exp):
-                    raise CsorbitError("cocycle from exponentials needs both --g1-exp and --g2-exp")
-                g1 = _exp_element(model, args.g1_exp)
-                g2 = _exp_element(model, args.g2_exp)
-            if g1 is not None:
+            if fixed_pair is not None:
+                g1, g2 = fixed_pair
                 for _ in range(5):
                     z = _random_point(rng, model, 0.3)
                     worst = max(worst, realize.cocycle_residual(model, g1, g2, z))
@@ -396,12 +419,14 @@ def _run_checks(model, names, args) -> list[dict]:
             simple(name, worst, tol)
         elif name == "roundtrip":
             worst = 0.0
-            from .algebra import covector_numeric
+            # the reference covector comes from the chart matrices, not from
+            # the symbolic series that extract_coordinates solves against
+            from .algebra import covector_direct
 
             for _ in range(ROUNDTRIP_DRAWS):
                 z0 = _random_point(rng, model, 0.5)
                 mu0 = (0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-                v = mu0 * covector_numeric(model, z0)
+                v = mu0 * covector_direct(model, z0)
                 mu, z = orbit.extract_coordinates(model, v)
                 worst = max(worst, abs(mu - mu0) / (1 + abs(mu0)), float(np.max(np.abs(z - z0))))
             simple(name, worst, tol)

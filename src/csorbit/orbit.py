@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -41,26 +41,32 @@ from .errors import (
     PolarDivisorError,
     TruncationWarning,
 )
-from .polyops import MultiPoly
+from .polyops import DenseTable, MultiPoly
 
 EXTRACT_TOL = 1e-10
 POLAR_TOL = 1e-12
 
 
 @dataclass(eq=False)
-class PolyVector:
-    """Coherent vector E(z): one polynomial per representation basis entry.
-    The entry at the extremal index is identically 1."""
+class _PolyEntries:
+    """One polynomial per representation basis entry."""
 
     entries: tuple[MultiPoly, ...]
 
+    @cached_property
+    def table(self) -> DenseTable:
+        """The entries as a dense coefficient table for evaluation at
+        points; built on first use, so symbolic-only paths never build it."""
+        return DenseTable(self.entries)
 
-@dataclass(eq=False)
-class PolyCovector:
+
+class PolyVector(_PolyEntries):
+    """Coherent vector E(z).  The entry at the extremal index is identically 1."""
+
+
+class PolyCovector(_PolyEntries):
     """Coherent covector omega(z); pairing omega(z) . psi is the symbol of
     psi.  The entry at the extremal index is identically 1."""
-
-    entries: tuple[MultiPoly, ...]
 
 
 @dataclass(eq=False)
@@ -174,13 +180,21 @@ def kernel(model: OrbitModel) -> KernelPoly:
 
 
 def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -> complex:
-    """Evaluate K at chart points: the second point enters conjugated."""
-    kp = kernel(model)
+    """Evaluate K at chart points: the second point enters conjugated.
+
+    Computed from the kernel's defining sum omega(z) . E(conj w) on the
+    dense tables.  This is the value of the polynomial ``kernel(model)`` up
+    to rounding, except where that expansion dropped a product coefficient
+    below ``polyops.PRUNE_TOL`` which the sum keeps: on heisenberg with
+    ``trunc >= 17`` the terms (z conj w)^k / k! for k = 17..26, so the two
+    differ by about 1e-6 relative at |z| = |w| = 2 (the sum is the closer
+    one to the exact kernel)."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
-    if z.shape[0] != kp.n or w.shape[0] != kp.n:
-        raise ModelStructureError(f"expected two points with {kp.n} coordinates")
-    return kp.poly.eval(list(z) + list(np.conj(w)))
+    if z.shape[0] != model.n or w.shape[0] != model.n:
+        raise ModelStructureError(f"expected two points with {model.n} coordinates")
+    omega = coherent_covector(model).table.eval(z)
+    return complex(omega @ coherent_vector(model).table.eval(np.conj(w)))
 
 
 def normalization(model: OrbitModel, z: Sequence[complex]) -> float:
@@ -221,15 +235,15 @@ def extract_coordinates(
         raise PolarDivisorError("covector lies on the polar divisor of the base point")
     W = v / mu
     _, _, _, phi, _ = _chart(model)
-    omega = coherent_covector(model).entries
+    omega = coherent_covector(model).table
     z = np.zeros(model.n, dtype=complex)
     for g in sorted(set(model.grading)):
         active = [a for a in range(model.n) if model.grading[a] == g]
-        partial = np.array([entry.eval(z) for entry in omega])
+        partial = omega.eval(z)
         for a in active:
             z[a] = (W - partial) @ phi[:, a]
     block = model.rep.block_dim
-    resid = v[:block] - mu * np.array([omega[k].eval(z) for k in range(block)])
+    resid = v[:block] - mu * omega.eval(z)[:block]
     rnorm = float(np.linalg.norm(resid))
     threshold = tol * float(np.linalg.norm(v[:block])) + float(np.linalg.norm(v[block:]))
     if rnorm > threshold:

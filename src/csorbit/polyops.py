@@ -180,6 +180,41 @@ class MultiPoly:
         return f"MultiPoly({render_poly(self)})"
 
 
+class DenseTable:
+    """A non-empty vector of polynomials in the same variables as one dense
+    coefficient matrix over a shared exponent table: entry k is
+    sum_m coeffs[k, m] * z^exponents[m].
+
+    ``exponents`` is an (M, nvars) int array of the monomials used by any
+    entry, ``coeffs`` the (d, M) complex matrix.  Evaluating at a point is
+    one gather from a table of coordinate powers and one matrix-vector
+    product, instead of a sparse loop per entry.
+    """
+
+    __slots__ = ("nvars", "exponents", "coeffs", "_powers")
+
+    def __init__(self, polys: Sequence[MultiPoly]):
+        self.nvars = polys[0].nvars
+        expos = sorted({e for p in polys for e in p.terms})
+        column = {e: m for m, e in enumerate(expos)}
+        self.exponents = np.array(expos, dtype=int).reshape(len(expos), self.nvars)
+        self.coeffs = np.zeros((len(polys), len(expos)), dtype=complex)
+        for k, p in enumerate(polys):
+            for e, c in p.terms.items():
+                self.coeffs[k, column[e]] = c
+        top = int(self.exponents.max()) if self.exponents.size else 0
+        self._powers = np.arange(top + 1)
+
+    def eval(self, point: Sequence[complex]) -> np.ndarray:
+        """All entries at one point, as a length-d complex array."""
+        z = np.asarray(point, dtype=complex).reshape(-1)
+        if z.shape[0] != self.nvars:
+            raise ValueError(f"point length {z.shape[0]} does not match nvars={self.nvars}")
+        powers = z[:, None] ** self._powers  # powers[i, e] = z_i^e
+        monomials = powers[np.arange(self.nvars), self.exponents].prod(axis=1)
+        return self.coeffs @ monomials
+
+
 def poly_eval(p: MultiPoly, point: Sequence[complex]) -> complex:
     """Evaluate ``p`` at ``point`` (length must equal ``p.nvars``)."""
     return p.eval(point)

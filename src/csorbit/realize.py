@@ -140,6 +140,8 @@ def _rhs_vector(model: OrbitModel, X: np.ndarray, row_pos, nrows_per_k) -> np.nd
 def _solve(model: OrbitModel, X: np.ndarray, tol: float, degree_cap: int):
     """Degree-escalating minimal-norm least squares for D_X; memoized on the
     matrix bytes since flow checks revisit the same generators."""
+    if degree_cap < 1:
+        raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
     key = np.ascontiguousarray(X, dtype=complex).tobytes()
     return _solve_cached(model, key, float(tol), int(degree_cap))
 

@@ -181,3 +181,14 @@ def test_grading_violation_detected(su3_11):
     report = validate_model(bad)
     assert not report.passed
     assert report.metrics["grading_triangularity"] > 1e-6
+
+
+def test_validation_builds_no_symbolic_series():
+    # the terminating-series probe is numeric, so an untrusted model is
+    # proven safe before any symbolic series is built for it
+    from csorbit.orbit import coherent_covector, coherent_vector
+
+    before = coherent_covector.cache_info().currsize, coherent_vector.cache_info().currsize
+    assert validate_model(load_model("su3", p=1, q=1, validate=False)).passed
+    after = coherent_covector.cache_info().currsize, coherent_vector.cache_info().currsize
+    assert after == before

@@ -144,6 +144,16 @@ def test_broken_model_file_rejected(tmp_path, su2_half):
         load_model(path3)
 
 
+@pytest.mark.parametrize("name,param", [("su2", "j"), ("su11", "k")])
+def test_measure_without_its_parameter_rejected(tmp_path, name, param):
+    data = model_to_dict(load_model(name))
+    del data["measure"]["params"][param]
+    path = tmp_path / "noparam.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelStructureError, match=f"needs parameter '{param}'"):
+        load_model(path)
+
+
 def test_group_element_matrix_file(tmp_path):
     path = tmp_path / "g.json"
     g = np.array([[1.0, 0.5j], [0.0, 1.0]])

@@ -138,6 +138,30 @@ def test_unknown_model_and_flags(capsys):
     assert code == 2
 
 
+def test_degree_cap_below_one_is_usage_error(capsys):
+    code, report = run(["realize", "--model", "su2", "--j", "1", "--degree-cap", "0"])
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "--degree-cap: must be >= 1" in err
+
+
+def test_quadrature_counts_below_one_are_usage_error(capsys):
+    code, report = run(["check", "--model", "su2", "--j", "1", "--suite", "parseval", "--quad", "0,0"])
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "needs node counts >= 1" in err
+
+
+def test_unknown_exp_label_is_usage_error(capsys):
+    code, report = run(
+        ["check", "--model", "su2", "--j", "1", "--suite", "cocycle",
+         "--g1-exp", "Jq:0.1", "--g2-exp", "J0:0.1"]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "unknown generator 'Jq'" in err
+
+
 def test_broken_model_file_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{\"dim\": 1}")
@@ -204,3 +228,15 @@ def test_console_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert "J- : P = 2 z1, Q1 = -z1^2" in proc.stdout
+
+
+def test_group_element_file_of_wrong_size_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    code, report = run(
+        ["check", "--model", "su2", "--j", "1", "--suite", "cocycle",
+         "--g1-file", str(path), "--g2-file", str(path)]
+    )
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "must hold 3 x 3 matrices" in err

@@ -7,6 +7,7 @@ import scipy.linalg
 from csorbit import (
     AlgebraElement,
     DegeneratePointError,
+    ModelStructureError,
     PointOffOrbitError,
     PolarDivisorError,
     TruncationWarning,
@@ -23,7 +24,7 @@ from csorbit import (
     polar_check,
     poly_eval,
 )
-from csorbit.algebra import _chart, covector_numeric
+from csorbit.algebra import _chart, covector_direct, covector_numeric
 from csorbit.polyops import MultiPoly
 
 ALL_MODELS = [
@@ -164,10 +165,106 @@ def test_extraction_roundtrip(name, params, rng):
     for _ in range(10):
         z0 = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
         mu0 = (0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-        v = mu0 * covector_numeric(m, z0)
+        v = mu0 * covector_direct(m, z0)
         mu, z = extract_coordinates(m, v)
         assert abs(mu - mu0) < 1e-12 * (1 + abs(mu0))
         assert np.max(np.abs(z - z0)) < 1e-12
+
+
+def _expm_covector(m, z):
+    """e0^T exp(...) by scipy's expm on the B_a matrices, in chart order."""
+    _, B, e0_row, _, _ = _chart(m)
+    if m.chart == "sum":
+        return e0_row @ scipy.linalg.expm(sum(za * b for za, b in zip(z, B)))
+    row = e0_row
+    for a in range(m.n - 1, -1, -1):
+        row = row @ scipy.linalg.expm(z[a] * B[a])
+    return row
+
+
+@pytest.mark.parametrize("covector", [covector_numeric, covector_direct], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("name,params", ALL_MODELS)
+def test_covector_matches_expm(name, params, covector, rng):
+    # ALL_MODELS has sum-chart (rank one) and product-chart (su3) models
+    m = load_model(name, **params)
+    for _ in range(5):
+        z = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
+        ref = _expm_covector(m, z)
+        got = covector(m, z)
+        assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("name,params", ALL_MODELS)
+def test_kernel_eval_matches_kernel_polynomial(name, params, rng):
+    m = load_model(name, **params)
+    kp = kernel(m)
+    for _ in range(5):
+        z = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
+        w = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
+        ref = kp.poly.eval(list(z) + list(np.conj(w)))
+        assert abs(kernel_eval(m, z, w) - ref) < 1e-12 * max(1.0, abs(ref))
+
+
+def test_dense_table_built_on_first_point_evaluation():
+    m = load_model("su2", j=3)
+    kernel(m)  # builds both series without evaluating them at a point
+    assert "table" not in vars(coherent_covector(m))
+    assert "table" not in vars(coherent_vector(m))
+    kernel_eval(m, [0.1], [0.2j])
+    assert "table" in vars(coherent_covector(m)) and "table" in vars(coherent_vector(m))
+
+
+# heisenberg coefficients fall under the absolute PRUNE_TOL from k = 17 in
+# the expanded kernel (1/k!) and from k = 27 in the series (1/sqrt(k!)),
+# which shows at chart points a few units from the origin
+HEISENBERG_40 = ("heisenberg", {"trunc": 40})
+
+
+def _far_point(rng, n, radius=2.0):
+    return radius * np.exp(2j * np.pi * rng.uniform(size=n))
+
+
+@pytest.mark.parametrize(
+    "covector",
+    [
+        covector_direct,
+        pytest.param(
+            covector_numeric,
+            marks=pytest.mark.xfail(strict=True, reason="series entries k >= 27 fall under the absolute PRUNE_TOL"),
+        ),
+    ],
+    ids=lambda f: f.__name__,
+)
+def test_covector_matches_expm_heisenberg_far_point(covector):
+    m = load_model(HEISENBERG_40[0], **HEISENBERG_40[1])
+    z = np.array([3.0])
+    ref = _expm_covector(m, z)
+    assert np.max(np.abs(covector(m, z) - ref)) < 1e-12 * float(np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("name,params", ALL_MODELS + [HEISENBERG_40])
+def test_kernel_eval_matches_expm(name, params, rng):
+    # E_k(conj w) = conj(omega_k(w)), so K(z, w) = omega(z) . conj(omega(w))
+    m = load_model(name, **params)
+    for _ in range(5):
+        z, w = _far_point(rng, m.n), _far_point(rng, m.n)
+        oz, ow = _expm_covector(m, z), _expm_covector(m, w)
+        ref = complex(oz @ np.conj(ow))
+        scale = float(np.linalg.norm(oz) * np.linalg.norm(ow))
+        assert abs(kernel_eval(m, z, w) - ref) < 1e-12 * scale
+
+
+@pytest.mark.xfail(strict=True, reason="kernel terms k >= 17 fall under the absolute PRUNE_TOL")
+def test_kernel_polynomial_matches_kernel_eval_heisenberg_far_point():
+    m = load_model(HEISENBERG_40[0], **HEISENBERG_40[1])
+    ref = kernel_eval(m, [2.0], [2.0])
+    assert abs(kernel(m).poly.eval([2.0, 2.0]) - ref) < 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("covector", [covector_numeric, covector_direct], ids=lambda f: f.__name__)
+def test_covector_rejects_wrong_length(su3_11, covector):
+    with pytest.raises(ModelStructureError):
+        covector(su3_11, [0.1, 0.2])
 
 
 def test_group_action_examples(su2_half, su2_one):

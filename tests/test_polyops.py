@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from csorbit.polyops import (
+    DenseTable,
     DiffOp1,
     MultiPoly,
     diffop_apply,
@@ -55,6 +56,19 @@ def test_poly_eval_examples():
     assert poly_eval(MultiPoly.zero(3), [1, 2, 3]) == 0
     with pytest.raises(ValueError):
         poly_eval(p, [1.0])
+
+
+def test_dense_table_matches_eval(rng):
+    polys = [rand_poly(rng, 3, 4) for _ in range(5)] + [MultiPoly.zero(3), MultiPoly.constant(3, 2.0)]
+    table = DenseTable(polys)
+    assert table.coeffs.shape == (len(polys), table.exponents.shape[0])
+    for _ in range(5):
+        pt = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        want = np.array([p.eval(pt) for p in polys])
+        assert np.max(np.abs(table.eval(pt) - want)) < 1e-12
+    assert np.array_equal(table.eval(np.zeros(3)), [p.eval([0, 0, 0]) for p in polys])
+    with pytest.raises(ValueError):
+        table.eval([1.0, 2.0])
 
 
 def test_eval_matches_eval_many(rng):

@@ -178,6 +178,11 @@ def test_nonpolynomial_realization_is_reported():
         degree_report(table)
 
 
+def test_degree_cap_below_one_rejected(su2_one):
+    with pytest.raises(ValueError, match="degree_cap must be >= 1"):
+        realize_all(su2_one, degree_cap=0)
+
+
 def test_flow_crosscheck_su2_golden(su2_one):
     # lowering flow: multiplier (1 + t z)^(2j), derivative at 0 is 2jz = 0.6
     res = flow_crosscheck(su2_one, AlgebraElement.basis(3, 2), [0.3])
