@@ -218,9 +218,10 @@ class OrbitModel:
             raise ModelStructureError("grading entries must be positive integers")
         if self.adjoint_pairs is not None:
             pairs = {int(a): int(b) for a, b in self.adjoint_pairs.items()}
-            for a, b in pairs.items():
-                if not (0 <= a < self.spec.dim and 0 <= b < self.spec.dim):
-                    raise ModelStructureError("adjoint pair index out of range")
+            if set(pairs) != set(range(self.spec.dim)) or any(pairs.get(b) != a for a, b in pairs.items()):
+                raise ModelStructureError(
+                    f"adjoint_pairs must be an involution of the basis indices 0..{self.spec.dim - 1}"
+                )
             self.adjoint_pairs = pairs
 
     @property

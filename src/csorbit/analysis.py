@@ -28,7 +28,7 @@ from .algebra import AlgebraElement, MeasureSpec, OrbitModel
 from .errors import UnsupportedCheckError
 from .orbit import coherent_covector, kernel
 from .polyops import diffop_apply
-from .realize import realize_generator, symbol
+from .realize import RealizationTable, realize_generator, symbol
 
 QUAD_RADIAL = 64
 QUAD_ANGULAR = 64
@@ -136,10 +136,13 @@ def adjoint_residual(
     x: AlgebraElement,
     f: Sequence[complex],
     g: Sequence[complex],
+    table: RealizationTable | None = None,
 ) -> float:
     """|(D_x F_f, F_g) - (F_f, D_{x*} F_g)| under the quadrature pairing,
     where x* is built from the model's declared adjoint pairs
-    (coefficientwise: conj(c_i) lands on the partner of basis index i)."""
+    (coefficientwise: conj(c_i) lands on the partner of basis index i).
+    A complete ``table`` of the model supplies D_x and D_{x*} instead of
+    realizing them again."""
     if model.adjoint_pairs is None:
         raise UnsupportedCheckError(
             f"model {model.describe()} declares no adjoint pairs"
@@ -149,8 +152,7 @@ def adjoint_residual(
         if c != 0:
             coeffs[model.adjoint_pairs[i]] += np.conj(c)
     x_star = AlgebraElement(coeffs)
-    d_x = realize_generator(model, x)
-    d_xs = realize_generator(model, x_star)
+    d_x, d_xs = (realize_generator(model, y) if table is None else table.operator(y) for y in (x, x_star))
     ff = symbol(model, f)
     fg = symbol(model, g)
     pts = rule.nodes.reshape(-1, 1)

@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trunc", type=int, help="ladder truncation level")
         p.add_argument("--margin", type=int, help="truncation margin")
         p.add_argument("--tol", type=float, help="override all check tolerances")
-        p.add_argument("--degree-cap", type=_positive_int, default=realize.DEGREE_CAP)
+        p.add_argument("--degree-cap", type=_positive_int, default=realize.DEGREE_CAP, help="largest degree accepted")
         p.add_argument("--quad", default="64,64", help="radial,angular quadrature nodes")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
 
@@ -138,7 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ker = sub.add_parser("kernel", help="print the reproducing kernel")
     add_model_flags(p_ker)
-    p_ker.add_argument("--eval", nargs="+", metavar="RE,IM", help="evaluate at z then w (n coordinates each)")
+    p_ker.add_argument("--eval", nargs="+", metavar="RE,IM", help="evaluate at z then w (n coordinates each); "
+                       'a negative real part needs the tokens quoted as one argument: --eval "-0.3,0.1 0.2,0"')
     p_ker.add_argument("--vectors", action="store_true", help="also print E(z) and omega(z)")
 
     p_chk = sub.add_parser("check", help="run the validation suite")
@@ -195,10 +196,6 @@ def _load(args) -> object:
     return load_model(args.model, **params)
 
 
-def _solver_tol(args) -> float:
-    return args.tol if args.tol is not None else realize.SOLVER_TOL
-
-
 def _realization_records(model, table) -> list:
     records = []
     for idx in range(model.spec.dim):
@@ -213,7 +210,6 @@ def _realization_records(model, table) -> list:
                     "residual": table.residuals[idx],
                     "degP": op.P.degree(),
                     "degQ": table.degree_summary[idx][1],
-                    "nullspace": table.nullspace_dims[idx],
                 }
             )
         else:
@@ -231,7 +227,8 @@ def cmd_catalog(args) -> tuple[int, RunReport]:
 
 def cmd_realize(args) -> tuple[int, RunReport]:
     model = _load(args)
-    table = realize.realize_all(model, tol=_solver_tol(args), degree_cap=args.degree_cap)
+    tol = args.tol if args.tol is not None else realize.SOLVER_TOL
+    table = realize.realize_all(model, tol=tol, degree_cap=args.degree_cap)
     records = _realization_records(model, table)
     status = "fail" if table.partial else "pass"
     report = RunReport(model=model.name, params=model.parameters, realization=records, status=status)
@@ -245,7 +242,7 @@ def cmd_realize(args) -> tuple[int, RunReport]:
             else:
                 parts = [f"P = {rec['P']}"] + [f"Q{i + 1} = {q}" for i, q in enumerate(rec["Q"])]
                 print(f"{rec['label']} : " + ", ".join(parts))
-        print(f"max solve residual: {table.max_residual():.3e}")
+        print(f"max relative intertwining defect: {table.max_residual():.3e}")
         print(f"status: {status}")
     return (0 if status == "pass" else 1), report
 
@@ -258,9 +255,10 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
     rendered = render_poly(kp.poly, names)
     section = {"variables": names, "poly": rendered}
     if args.eval:
-        if len(args.eval) != 2 * n:
+        tokens = [tok for arg in args.eval for tok in arg.split()]
+        if len(tokens) != 2 * n:
             raise CsorbitError(f"--eval needs {2 * n} complex tokens ({n} for z, {n} for w)")
-        pts = [_parse_complex(tok) for tok in args.eval]
+        pts = [_parse_complex(tok) for tok in tokens]
         z, w = pts[:n], pts[n:]
         val = orbit.kernel_eval(model, z, w)
         section["eval"] = {
@@ -310,16 +308,18 @@ def _run_checks(model, names, args) -> list[dict]:
     tol_of = lambda name: args.tol if args.tol is not None else DEFAULT_TOLS.get(name)
     radial, angular = _parse_quad(args.quad)
     fixed_pair = _cocycle_pair(model, args)
-    solver_tol = realize.SOLVER_TOL  # --tol overrides check tolerances, not the solver
+    solver_tol = realize.SOLVER_TOL  # --tol overrides check tolerances, not realization acceptance
 
     table = None
     table_error = None
-    if any(n in names for n in ("intertwining", "homomorphism", "degree")):
+    if any(n in names for n in ("intertwining", "homomorphism", "degree", "flow", "adjoint")):
         table = realize.realize_all(model, tol=solver_tol, degree_cap=args.degree_cap)
         if table.partial:
             table_error = "; ".join(
                 f"{model.spec.basis_labels[i]}: {msg}" for i, msg in table.failures.items()
             )
+    # flow and adjoint read a complete table's operators; otherwise they realize their own
+    complete = None if table_error is not None else table
 
     rule = None
     rule_error = None
@@ -394,14 +394,9 @@ def _run_checks(model, names, args) -> list[dict]:
             worst = 0.0
             for idx in range(model.spec.dim):
                 x = AlgebraElement.basis(model.spec.dim, idx)
-                for _ in range(FLOW_POINTS):
-                    z0 = _random_point(rng, model, 0.3)
-                    worst = max(
-                        worst,
-                        realize.flow_crosscheck(
-                            model, x, z0, tol=solver_tol, degree_cap=args.degree_cap
-                        ),
-                    )
+                points = [_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)]
+                flow = realize.flow_crosscheck(model, x, points, degree_cap=args.degree_cap, table=complete)
+                worst = max(worst, flow)
             simple(name, worst, tol)
         elif name == "cocycle":
             worst = 0.0
@@ -460,7 +455,7 @@ def _run_checks(model, names, args) -> list[dict]:
                     f[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
                     g[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
                     x = AlgebraElement.basis(model.spec.dim, idx)
-                    worst = max(worst, analysis.adjoint_residual(model, rule, x, f, g))
+                    worst = max(worst, analysis.adjoint_residual(model, rule, x, f, g, table=complete))
                 simple(name, worst, tol)
 
     for name in names:

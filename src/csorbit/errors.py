@@ -29,9 +29,9 @@ class DegeneratePointError(CsorbitError):
 
 
 class NonpolynomialRealizationError(CsorbitError):
-    """No first-order operator with polynomial coefficients matched the
-    generator within the configured degree cap.  This is a reportable
-    outcome for user-supplied models, not an internal failure."""
+    """The generator's closed-form operator misses the intertwining identity
+    or exceeds the configured degree cap.  This is a reportable outcome for
+    user-supplied models, not an internal failure."""
 
 
 class UnsupportedCheckError(CsorbitError):

@@ -3,12 +3,11 @@ of first-order holomorphic differential operators built from them.
 
 Exponents are tuples of nonnegative ints of length ``nvars``.  Coefficients
 with magnitude below ``PRUNE_TOL`` are dropped on construction so that degree
-queries and rendered output stay stable against solver noise.
+queries and rendered output stay stable against cancellation residue.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -51,10 +50,6 @@ class MultiPoly:
             raise ValueError(f"variable index {i} out of range for nvars={nvars}")
         expo = tuple(1 if k == i else 0 for k in range(nvars))
         return cls(nvars, {expo: 1.0})
-
-    @classmethod
-    def monomial(cls, nvars: int, expo: Sequence[int], coeff: complex = 1.0) -> "MultiPoly":
-        return cls(nvars, {tuple(expo): coeff})
 
     # -- ring operations ---------------------------------------------------
 
@@ -120,9 +115,9 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def conj_coeffs(self) -> "MultiPoly":
-        """Same monomials, conjugated coefficients (not p(conj z))."""
-        return MultiPoly(self.nvars, {e: c.conjugate() for e, c in self.terms.items()})
+    def __abs__(self) -> "MultiPoly":
+        """Same monomials, coefficient magnitudes."""
+        return MultiPoly(self.nvars, {e: abs(c) for e, c in self.terms.items()})
 
     def eval(self, point: Sequence[complex]) -> complex:
         """Evaluate at a point; terms are summed in lexicographic exponent order."""
@@ -306,15 +301,6 @@ def diffop_max_diff(D1: DiffOp1, D2: DiffOp1) -> float:
     out = max_coeff_diff(D1.P, D2.P)
     for a, b in zip(D1.Q, D2.Q):
         out = max(out, max_coeff_diff(a, b))
-    return out
-
-
-def monomials_upto(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent tuples of total degree <= degree, lexicographically sorted."""
-    if nvars == 0:
-        return [()]
-    out = [e for e in itertools.product(range(degree + 1), repeat=nvars) if sum(e) <= degree]
-    out.sort()
     return out
 
 

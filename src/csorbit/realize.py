@@ -2,36 +2,45 @@
 with polynomial coefficients, plus the validation battery around it
 (intertwining, homomorphism, flow, cocycle, degree reporting).
 
-The defining property of the realized operator D_x is the intertwining
-identity on symbols: for every representation basis vector b_k,
+Differentiating omega(z) exp(tX) = J(t, z) omega(z_t) at t = 0 gives the
+defining identity of the realized operator D_X = P + sum_i Q_i d/dz_i,
 
-    D_x F_{b_k} = F_{dT(x) b_k},        F_psi(z) = omega(z) . psi.
+    omega(z) X = P(z) omega(z) + sum_i Q_i(z) d omega(z)/dz_i,
 
-Polynomiality of P and Q is treated as a falsifiable hypothesis: the solver
-escalates the ansatz degree and reports the achieved residual; if no degree
-up to the cap works, that is surfaced as a first-class error rather than a
-numerical fudge.
+which, read entry by entry, is the intertwining identity on symbols
+D_X F_{b_k} = F_{X b_k} with F_psi(z) = omega(z) . psi.  It gives P and Q
+in closed form.  The extremal entry of omega is identically 1, so
+P = sum_i X[i, e0] omega_i.  The chart functionals phi_a turn omega into
+f_a = omega . phi_a = z_a + (a polynomial in lower-grade coordinates), and
+Q solves (I + N) Q = omega X phi - P f with N = df/dz - I, which the grading
+makes nilpotent, so its Neumann series terminates.
+
+Polynomiality is a falsifiable hypothesis: the closed form uses only
+the e0 and phi components of the identity, so it is accepted only when the
+whole identity holds within the tolerance (each monomial's defect relative
+to the magnitudes summed into it, floored at 1) and its degree is within
+the cap.  A rejected generator is reported as a first-class error.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, OrbitModel, derived_matrix
+from .algebra import AlgebraElement, OrbitModel, _chart, derived_matrix
 from .errors import NonpolynomialRealizationError, PartialTableError
 from .orbit import coherent_covector, group_action
 from .polyops import (
+    DenseTable,
     DiffOp1,
     MultiPoly,
     diffop_apply,
     diffop_commutator,
     max_coeff_diff,
-    monomials_upto,
 )
 
 SOLVER_TOL = 1e-9
@@ -41,21 +50,19 @@ FLOW_STEP = 1e-4
 
 @dataclass(eq=False)
 class RealizationTable:
-    """Realized operators per algebra basis index, with solve diagnostics.
+    """Realized operators per algebra basis index.
 
-    ``residuals`` holds the max coefficientwise defect of the defining
-    linear system per generator, ``degree_summary`` maps index to
-    (deg P, max deg Q), ``nullspace_dims`` counts undetermined ansatz
-    directions (the minimal-norm solution fixes them to zero), ``failures``
-    records generators with no polynomial realization within the cap, which
-    also marks the table partial.
+    ``residuals`` holds each accepted generator's relative intertwining
+    defect (see :func:`_intertwining_defect`), ``degree_summary`` maps index
+    to (deg P, max deg Q), and ``failures`` says why a generator's closed
+    form was rejected (defect above the tolerance or degree above the cap),
+    which also marks the table partial.
     """
 
     labels: tuple[str, ...]
     entries: dict[int, DiffOp1] = field(default_factory=dict)
     residuals: dict[int, float] = field(default_factory=dict)
     degree_summary: dict[int, tuple[int, int]] = field(default_factory=dict)
-    nullspace_dims: dict[int, int] = field(default_factory=dict)
     failures: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -65,6 +72,13 @@ class RealizationTable:
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
 
+    def operator(self, x: AlgebraElement) -> DiffOp1:
+        """D_x = sum_i x_i D_i, the realization being linear in x."""
+        if self.partial:
+            raise PartialTableError("reading an operator needs a complete table")
+        terms = (c * self.entries[i] for i, c in enumerate(x.coeffs) if c != 0)
+        return sum(terms, DiffOp1.zero(self.entries[0].nvars))
+
 
 def symbol(model: OrbitModel, psi: Sequence[complex]) -> MultiPoly:
     """Symbol of a representation-space vector: F_psi(z) = omega(z) . psi,
@@ -73,108 +87,68 @@ def symbol(model: OrbitModel, psi: Sequence[complex]) -> MultiPoly:
     if psi.shape[0] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[0]} != dim_rep {model.dim_rep}")
     omega = coherent_covector(model).entries
-    out = MultiPoly.zero(model.n)
-    for c, entry in zip(psi, omega):
-        if c != 0 and not entry.is_zero():
-            out = out + c * entry
-    return out
+    return sum((psi[k] * omega[k] for k in np.flatnonzero(psi)), MultiPoly.zero(model.n))
 
 
-@lru_cache(maxsize=None)
-def _symbol_data(model: OrbitModel):
-    omega = coherent_covector(model).entries
-    derivs = tuple(tuple(F.partial(i) for i in range(model.n)) for F in omega)
-    max_deg = max((F.degree() for F in omega), default=0)
-    deg_limit = model.rep.block_dim if model.rep.truncated else None
-    return omega, derivs, max_deg, deg_limit
-
-
-@lru_cache(maxsize=None)
-def _system_matrix(model: OrbitModel, deg: int):
-    """Linear system matrix for the ansatz degree ``deg``.
-
-    Unknowns: coefficients of P then Q_1..Q_n on all monomials of total
-    degree <= deg (slot-major, lexicographic).  Rows: one per (basis index
-    k, monomial nu) with nu running over total degree <= row cap; for
-    truncated models the row cap is the artifact-free degree block, which
-    quarantines truncation defects out of the match.
-    """
-    omega, derivs, max_deg, deg_limit = _symbol_data(model)
+def _closed_form(model: OrbitModel, X: np.ndarray) -> DiffOp1:
+    """P and Q of D_X from omega X = P omega + sum_i Q_i d_i omega, as in
+    the module docstring."""
     n = model.n
-    d = model.dim_rep
-    cols_mono = monomials_upto(n, deg)
-    row_cap = deg + max_deg if deg_limit is None else min(deg + max_deg, deg_limit)
-    rows_mono = monomials_upto(n, row_cap)
-    row_pos = {nu: r for r, nu in enumerate(rows_mono)}
-    nrows_per_k = len(rows_mono)
-    A = np.zeros((d * nrows_per_k, (n + 1) * len(cols_mono)), dtype=complex)
-    for k in range(d):
-        sources = [omega[k]] + [derivs[k][i] for i in range(n)]
-        for slot, src in enumerate(sources):
-            for c_idx, mu in enumerate(cols_mono):
-                col = slot * len(cols_mono) + c_idx
-                for expo, coeff in src.terms.items():
-                    nu = tuple(a + b for a, b in zip(expo, mu))
-                    r = row_pos.get(nu)
-                    if r is not None:
-                        A[k * nrows_per_k + r, col] += coeff
-    return A, cols_mono, row_pos, nrows_per_k
+    phi = _chart(model)[3]
+    P = symbol(model, X[:, model.e0_index])
+    f = [symbol(model, phi[:, a]) for a in range(n)]
+    Xphi = X @ phi
+    Q = term = [symbol(model, Xphi[:, a]) - P * f[a] for a in range(n)]
+    N = [[f[a].partial(i) - float(a == i) for i in range(n)] for a in range(n)]
+    for _ in range(n - 1):  # N is strictly triangular in the grading
+        term = [-sum((N[a][i] * term[i] for i in range(n)), MultiPoly.zero(n)) for a in range(n)]
+        Q = [q + t for q, t in zip(Q, term)]
+    return DiffOp1(P, Q)
 
 
-def _rhs_vector(model: OrbitModel, X: np.ndarray, row_pos, nrows_per_k) -> np.ndarray:
-    omega, _, _, _ = _symbol_data(model)
-    d = model.dim_rep
-    b = np.zeros(d * nrows_per_k, dtype=complex)
-    for k in range(d):
-        # G_k = symbol(X b_k) = sum_i X[i, k] * omega_i
-        for i in range(d):
-            if X[i, k] == 0:
-                continue
-            for expo, coeff in omega[i].terms.items():
-                r = row_pos.get(expo)
-                if r is not None:
-                    b[k * nrows_per_k + r] += X[i, k] * coeff
-    return b
+def _intertwining_defect(model: OrbitModel, op: DiffOp1, X: np.ndarray) -> tuple[float, float]:
+    """Max coefficientwise defect of D F_{b_k} = F_{X b_k} over all basis
+    vectors b_k.  Each monomial's defect is divided by its scale: the summed
+    magnitudes of the terms that both sides add up at that monomial, floored
+    at 1, which bounds the rounding there.  Truncated models count only
+    monomials in the artifact-free degree block.  Returns the worst relative
+    defect and the scale of its monomial."""
+    omega = coherent_covector(model).entries
+    size = DiffOp1(abs(op.P), [abs(q) for q in op.Q])
+    limit = model.rep.block_dim if model.rep.truncated else math.inf
+    worst = (0.0, 1.0)
+    for k in range(model.dim_rep):
+        diff = diffop_apply(op, omega[k]) - symbol(model, X[:, k])
+        # a scale is at least 1, so only defects above the worst so far need one
+        defects = {e: abs(c) for e, c in diff.terms.items() if sum(e) <= limit and abs(c) > worst[0]}
+        if defects:
+            rhs = (abs(X[j, k] * omega[j]) for j in np.flatnonzero(X[:, k]))
+            terms = diffop_apply(size, abs(omega[k])) + sum(rhs, MultiPoly.zero(model.n))
+            for e, d in defects.items():
+                scale = max(1.0, terms.terms.get(e, 0j).real)
+                worst = max(worst, (d / scale, scale))
+    return worst
 
 
-def _solve(model: OrbitModel, X: np.ndarray, tol: float, degree_cap: int):
-    """Degree-escalating minimal-norm least squares for D_X; memoized on the
-    matrix bytes since flow checks revisit the same generators."""
+def _degrees(op: DiffOp1) -> tuple[int, int]:
+    """(deg P, max deg Q), the zero polynomial having degree -1."""
+    return op.P.degree(), max((q.degree() for q in op.Q), default=-1)
+
+
+def _realize(model: OrbitModel, X: np.ndarray, tol: float, degree_cap: int):
+    """(operator, defect, reason) for X; ``reason`` is None when the
+    closed form is accepted and otherwise says why it is not."""
     if degree_cap < 1:
         raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
-    key = np.ascontiguousarray(X, dtype=complex).tobytes()
-    return _solve_cached(model, key, float(tol), int(degree_cap))
-
-
-@lru_cache(maxsize=None)
-def _solve_cached(model: OrbitModel, xbytes: bytes, tol: float, degree_cap: int):
-    """Returns (DiffOp1, residual, nullspace_dim, met) at the first degree
-    meeting ``tol``; on failure the best attempt with met=False."""
-    X = np.frombuffer(xbytes, dtype=complex).reshape(model.dim_rep, model.dim_rep)
-    n = model.n
-    best = None
-    for deg in range(1, degree_cap + 1):
-        A, cols_mono, row_pos, nrows_per_k = _system_matrix(model, deg)
-        b = _rhs_vector(model, X, row_pos, nrows_per_k)
-        x, _, rank, _ = np.linalg.lstsq(A, b, rcond=None)
-        residual = float(np.max(np.abs(A @ x - b))) if b.size else 0.0
-        nullspace = A.shape[1] - int(rank)
-        ncols = len(cols_mono)
-        polys = []
-        for slot in range(n + 1):
-            coeffs = {
-                mu: x[slot * ncols + i]
-                for i, mu in enumerate(cols_mono)
-                if abs(x[slot * ncols + i]) != 0.0
-            }
-            polys.append(MultiPoly(n, coeffs))
-        op = DiffOp1(polys[0], polys[1:])
-        if best is None or residual < best[1]:
-            best = (op, residual, nullspace)
-        if residual <= tol:
-            return op, residual, nullspace, True
-    op, residual, nullspace = best
-    return op, residual, nullspace, False
+    op = _closed_form(model, X)
+    defect, scale = _intertwining_defect(model, op, X)
+    degree = max(_degrees(op))
+    reason = None
+    if not defect <= tol:
+        reason = f"intertwining defect {defect:.3e} > tol {tol:.1e} (scale {scale:.3e} at its monomial)"
+    elif degree > degree_cap:
+        reason = f"degree {degree} > degree cap {degree_cap}"
+    return op, defect, reason
 
 
 def realize_generator(
@@ -185,17 +159,14 @@ def realize_generator(
 ) -> DiffOp1:
     """Realize one algebra element as D = P + sum_i Q_i d/dz_i.
 
-    Raises :class:`NonpolynomialRealizationError` if no polynomial ansatz up
-    to ``degree_cap`` matches the intertwining identity within ``tol``; for
+    Raises :class:`NonpolynomialRealizationError` if the closed form misses
+    the intertwining identity by more than ``tol`` (see
+    :func:`_intertwining_defect`) or has degree above ``degree_cap``; for
     models outside the catalog that outcome is a legitimate finding.
     """
-    X = derived_matrix(model, x)
-    op, residual, _, met = _solve(model, X, tol, degree_cap)
-    if not met:
-        raise NonpolynomialRealizationError(
-            f"no polynomial realization up to degree {degree_cap}: "
-            f"best residual {residual:.3e} > tol {tol:.1e}"
-        )
+    op, _, reason = _realize(model, derived_matrix(model, x), tol, degree_cap)
+    if reason is not None:
+        raise NonpolynomialRealizationError(f"no polynomial realization: {reason}")
     return op
 
 
@@ -203,43 +174,26 @@ def realize_all(
     model: OrbitModel, tol: float = SOLVER_TOL, degree_cap: int = DEGREE_CAP
 ) -> RealizationTable:
     """Realize every basis generator; per-generator failures are recorded
-    and the remaining generators still solved."""
+    and the remaining generators still realized."""
     table = RealizationTable(labels=model.spec.basis_labels)
     for idx in range(model.spec.dim):
-        X = model.rep.matrices[idx]
-        op, residual, nullspace, met = _solve(model, X, tol, degree_cap)
-        if met:
+        op, defect, reason = _realize(model, model.rep.matrices[idx], tol, degree_cap)
+        if reason is None:
             table.entries[idx] = op
-            table.residuals[idx] = residual
-            table.nullspace_dims[idx] = nullspace
-            table.degree_summary[idx] = (op.P.degree(), max((q.degree() for q in op.Q), default=-1))
+            table.residuals[idx] = defect
+            table.degree_summary[idx] = _degrees(op)
         else:
-            table.failures[idx] = f"best residual {residual:.3e} at degree cap {degree_cap}"
+            table.failures[idx] = reason
     return table
 
 
 def intertwining_residual(model: OrbitModel, table: RealizationTable) -> float:
-    """Max coefficientwise defect of D_x F_{b_k} = F_{dT(x) b_k} over all
-    generators and basis vectors, recomputed through the operator action
-    (independent of the solver's own residual bookkeeping)."""
+    """Max relative defect of D_x F_{b_k} = F_{dT(x) b_k} over all
+    generators and basis vectors: the defects :func:`realize_all` measured
+    when it accepted each generator, so nothing is recomputed."""
     if table.partial:
         raise PartialTableError("intertwining check needs a complete table")
-    omega, derivs, max_deg, deg_limit = _symbol_data(model)
-    worst = 0.0
-    for idx, op in table.entries.items():
-        X = model.rep.matrices[idx]
-        for k in range(model.dim_rep):
-            lhs = diffop_apply(op, omega[k])
-            rhs = MultiPoly.zero(model.n)
-            for i in range(model.dim_rep):
-                if X[i, k] != 0:
-                    rhs = rhs + X[i, k] * omega[i]
-            diff = lhs - rhs
-            for expo, coeff in diff.terms.items():
-                if deg_limit is not None and sum(expo) > deg_limit:
-                    continue
-                worst = max(worst, abs(coeff))
-    return worst
+    return table.max_residual()
 
 
 def homomorphism_residual(model: OrbitModel, table: RealizationTable) -> float:
@@ -250,47 +204,51 @@ def homomorphism_residual(model: OrbitModel, table: RealizationTable) -> float:
     for i in range(model.spec.dim):
         for j in range(i + 1, model.spec.dim):
             lhs = diffop_commutator(table.entries[i], table.entries[j])
-            rhs = DiffOp1.zero(model.n)
-            for k, c in enumerate(model.spec.bracket(i, j)):
-                if c != 0:
-                    rhs = rhs + c * table.entries[k]
-            diff = lhs - rhs
-            worst = max(worst, max_coeff_diff(diff.P, MultiPoly.zero(model.n)))
-            for q in diff.Q:
-                worst = max(worst, max_coeff_diff(q, MultiPoly.zero(model.n)))
+            diff = lhs - table.operator(AlgebraElement(model.spec.bracket(i, j)))
+            for p in (diff.P, *diff.Q):
+                worst = max(worst, max_coeff_diff(p, MultiPoly.zero(model.n)))
     return worst
 
 
 def flow_crosscheck(
     model: OrbitModel,
     x: AlgebraElement,
-    z0: Sequence[complex],
+    z0: Sequence[complex] | np.ndarray,
     h: float = FLOW_STEP,
     tol: float = SOLVER_TOL,
     degree_cap: int = DEGREE_CAP,
+    table: RealizationTable | None = None,
 ) -> float:
-    """Consistency of the symbolic solve against the one-parameter flow.
+    """Consistency of the realized operator with the one-parameter flow.
 
     Differentiating omega(z) exp(t X) = J(t, z) omega(z_t) at t = 0 gives
     P(z) = dJ/dt|_0 and Q_i(z) = d(z_t)_i/dt|_0 directly in the
     right-multiplication convention used by :func:`group_action` (the su2
-    golden operators fix this sign convention).  Central finite differences
-    of the multiplier and of the coordinate flow are compared with the
-    solved polynomials at z0; returns the max deviation.
+    golden operators fix this sign convention).  Both derivatives are
+    estimated by Richardson extrapolation of central differences with steps
+    h and h/2, (4 D(h/2) - D(h)) / 3, and compared with the realized
+    polynomials.  ``z0`` is one point (length n) or a stack of points
+    (N, n); the realization and the four ``expm`` calls are done once for
+    all of them, or a complete ``table`` of the model supplies the operator.
+    Returns the max deviation over the points.
     """
-    z0 = np.asarray(z0, dtype=complex).reshape(-1)
+    points = np.atleast_2d(np.asarray(z0, dtype=complex))
     X = derived_matrix(model, x)
-    op = realize_generator(model, x, tol=tol, degree_cap=degree_cap)
-    g_plus = scipy.linalg.expm(h * X)
-    g_minus = scipy.linalg.expm(-h * X)
-    j_plus, z_plus = group_action(model, g_plus, z0)
-    j_minus, z_minus = group_action(model, g_minus, z0)
-    p_fd = (j_plus - j_minus) / (2 * h)
-    q_fd = (z_plus - z_minus) / (2 * h)
-    worst = abs(p_fd - op.P.eval(z0))
-    for i in range(model.n):
-        worst = max(worst, abs(q_fd[i] - op.Q[i].eval(z0)))
-    return float(worst)
+    op = realize_generator(model, x, tol, degree_cap) if table is None else table.operator(x)
+    realized = DenseTable([op.P, *op.Q])
+    flows = [(s, scipy.linalg.expm(s * X), scipy.linalg.expm(-s * X)) for s in (h, h / 2)]
+
+    def central(z, s, g_plus, g_minus):
+        j_plus, z_plus = group_action(model, g_plus, z)
+        j_minus, z_minus = group_action(model, g_minus, z)
+        return (np.r_[j_plus, z_plus] - np.r_[j_minus, z_minus]) / (2 * s)
+
+    worst = 0.0
+    for z in points:
+        d_h, d_half = (central(z, *flow) for flow in flows)
+        estimate = (4 * d_half - d_h) / 3
+        worst = max(worst, float(np.max(np.abs(estimate - realized.eval(z)))))
+    return worst
 
 
 def cocycle_residual(
@@ -318,11 +276,5 @@ def degree_report(table: RealizationTable) -> DegreeReport:
     """Per-generator (deg P, max deg Q) and the global maximum degree."""
     if table.partial:
         raise PartialTableError("degree report needs a complete table")
-    per = {}
-    global_max = 0
-    for idx, op in table.entries.items():
-        dp = op.P.degree()
-        dq = max((q.degree() for q in op.Q), default=-1)
-        per[table.labels[idx]] = (dp, dq)
-        global_max = max(global_max, dp, dq)
-    return DegreeReport(per, global_max)
+    per = {table.labels[idx]: _degrees(op) for idx, op in table.entries.items()}
+    return DegreeReport(per, max([0, *(max(d) for d in per.values())]))

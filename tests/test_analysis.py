@@ -10,6 +10,7 @@ from csorbit import (
     model_to_dict,
     parseval_residual,
     quadrature_rule,
+    realize_all,
     reproducing_residual,
     symbol,
 )
@@ -139,6 +140,16 @@ def test_adjoint_heisenberg_interior(heis10, rng):
     g[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     assert adjoint_residual(heis10, rule, AlgebraElement.basis(3, 0), f, g) <= 1e-7
     assert adjoint_residual(heis10, rule, AlgebraElement.basis(3, 1), f, g) <= 1e-7
+
+
+def test_adjoint_reads_a_complete_table(heis10, rng):
+    rule = quadrature_rule(heis10, 64, 64)
+    table = realize_all(heis10)
+    f = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    g = rng.standard_normal(11) + 1j * rng.standard_normal(11)
+    for idx in range(3):
+        x = AlgebraElement.basis(3, idx)
+        assert adjoint_residual(heis10, rule, x, f, g, table=table) == adjoint_residual(heis10, rule, x, f, g)
 
 
 def test_adjoint_needs_declared_pairs(su2_one, rng):

@@ -240,3 +240,34 @@ def test_group_element_file_of_wrong_size_is_usage_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2 and report is None
     assert "must hold 3 x 3 matrices" in err
+
+
+@pytest.mark.parametrize("j", ["20", "40"])
+def test_check_passes_every_check_for_large_spin(j, capsys):
+    code, _, report = invoke(["check", "--model", "su2", "--j", j, "--json"], capsys)
+    assert code == 0
+    assert len(report.checks) == 12
+    assert all(c["status"] == "pass" for c in report.checks)
+
+
+def test_adjoint_pairs_must_cover_every_index(tmp_path, capsys, su2_one):
+    from csorbit import model_to_dict
+
+    data = model_to_dict(su2_one)
+    data["adjoint_pairs"] = {"0": 0}
+    path = tmp_path / "partial-adjoint.json"
+    path.write_text(json.dumps(data))
+    code, report = run(["check", "--model-file", str(path), "--suite", "adjoint"])
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "adjoint_pairs must be an involution" in err
+
+
+def test_kernel_eval_negative_real_part_in_one_argument(capsys):
+    code, _, report = invoke(["kernel", "--model", "su2", "--j", "1", "--eval", "-0.3,0.1 0.2,0"], capsys)
+    assert code == 0
+    assert report.kernel["eval"]["z"] == [[-0.3, 0.1]]
+    assert report.kernel["eval"]["w"] == [[0.2, 0.0]]
+    zw = complex(-0.3, 0.1) * 0.2
+    value = report.kernel["eval"]["value"]
+    assert complex(*value) == pytest.approx(1 + 2 * zw + zw**2, abs=1e-14)

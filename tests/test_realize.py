@@ -81,7 +81,6 @@ def test_su2_golden_realization(j):
     for idx, label in enumerate(m.spec.basis_labels):
         assert diffop_max_diff(table.entries[idx], golden[label]) < 1e-10
         assert table.residuals[idx] < 1e-10
-        assert table.nullspace_dims[idx] == 0
 
 
 def test_heisenberg_golden_realization(heis10):
@@ -149,13 +148,13 @@ def test_realize_all_abelian_trivial():
     assert diffop_max_diff(table.entries[0], DiffOp1.zero(0)) == 0
 
 
-def corrupted_su2():
-    m = load_model("su2", j=1)
+def corrupted_su2(j=1):
+    m = load_model("su2", j=j)
     mats = [np.array(x) for x in m.rep.matrices]
     mats[1][0, 2] = 0.5
     return OrbitModel(
         spec=m.spec,
-        rep=MatrixRep(3, tuple(mats)),
+        rep=MatrixRep(m.dim_rep, tuple(mats)),
         e0_index=0,
         mprime=m.mprime,
         grading=m.grading,
@@ -164,18 +163,21 @@ def corrupted_su2():
 
 
 def test_nonpolynomial_realization_is_reported():
-    bad = corrupted_su2()
-    with pytest.raises(NonpolynomialRealizationError):
-        realize_generator(bad, AlgebraElement.basis(3, 1), degree_cap=3)
-    table = realize_all(bad, degree_cap=3)
-    assert table.partial
-    assert 1 in table.failures
-    # other generators still solved
-    assert 0 in table.entries
-    with pytest.raises(PartialTableError):
-        homomorphism_residual(bad, table)
-    with pytest.raises(PartialTableError):
-        degree_report(table)
+    # j=40: the identity's coefficients reach 1.3e13, but the corrupted one
+    # is O(1) and must still be seen
+    for j in (1, 40):
+        bad = corrupted_su2(j)
+        with pytest.raises(NonpolynomialRealizationError):
+            realize_generator(bad, AlgebraElement.basis(3, 1), degree_cap=3)
+        table = realize_all(bad, degree_cap=3)
+        assert table.partial
+        assert 1 in table.failures
+        # other generators still solved
+        assert 0 in table.entries
+        with pytest.raises(PartialTableError):
+            homomorphism_residual(bad, table)
+        with pytest.raises(PartialTableError):
+            degree_report(table)
 
 
 def test_degree_cap_below_one_rejected(su2_one):
@@ -254,7 +256,7 @@ def test_degree_reports():
 
 
 def test_escalation_finds_minimal_degree(su2_one):
-    # J- needs degree 2; the solver must not stop at 1
+    # J- has degree 2 (P = 2z, Q = -z^2), within the default cap
     op = realize_generator(su2_one, AlgebraElement.basis(3, 2))
     assert max(op.P.degree(), max(q.degree() for q in op.Q)) == 2
 
@@ -279,3 +281,57 @@ def test_su3_degree_is_chart_dependent(su3_11):
     assert degree_report(table).max_degree == 4
     assert homomorphism_residual(m, table) <= 1e-9
     assert intertwining_residual(m, table) <= 1e-9
+
+
+def test_su3_33_degrees_match_su3_11(su3_11):
+    small = degree_report(realize_all(su3_11)).per_generator
+    large = degree_report(realize_all(load_model("su3", p=3, q=3))).per_generator
+    assert large == small
+
+
+def test_large_spin_realizes_with_relative_defect():
+    # su2 j=40: the identity's coefficients reach 1.3e13, so the defect is only
+    # meaningful relative to them
+    m = load_model("su2", j=40)
+    table = realize_all(m)
+    assert not table.partial
+    assert table.max_residual() <= 1e-12
+    golden = su2_golden_table(40)
+    for idx, label in enumerate(m.spec.basis_labels):
+        assert diffop_max_diff(table.entries[idx], golden[label]) < 1e-10
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
+def test_flow_crosscheck_stack_is_max_of_points(name, params, rng):
+    m = load_model(name, **params)
+    points = 0.3 * (rng.standard_normal((5, m.n)) + 1j * rng.standard_normal((5, m.n)))
+    for idx in range(m.spec.dim):
+        x = AlgebraElement.basis(m.spec.dim, idx)
+        singles = [flow_crosscheck(m, x, z) for z in points]
+        assert flow_crosscheck(m, x, points) == max(singles)
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
+def test_table_operator_is_linear_realization(name, params, rng):
+    m = load_model(name, **params)
+    table = realize_all(m)
+    x = AlgebraElement(rng.standard_normal(m.spec.dim) + 1j * rng.standard_normal(m.spec.dim))
+    assert diffop_max_diff(table.operator(x), realize_generator(m, x)) < 1e-10
+    points = 0.3 * (rng.standard_normal((5, m.n)) + 1j * rng.standard_normal((5, m.n)))
+    for idx in range(m.spec.dim):
+        basis = AlgebraElement.basis(m.spec.dim, idx)
+        assert diffop_max_diff(table.operator(basis), table.entries[idx]) == 0
+        assert flow_crosscheck(m, basis, points, table=table) == flow_crosscheck(m, basis, points)
+
+
+def test_partial_table_gives_no_operator():
+    table = realize_all(corrupted_su2(), degree_cap=3)
+    with pytest.raises(PartialTableError):
+        table.operator(AlgebraElement.basis(3, 0))
+
+
+def test_degree_cap_is_checked_after_the_fact(su2_one):
+    table = realize_all(su2_one, degree_cap=1)
+    assert table.failures == {2: "degree 2 > degree cap 1"}
+    with pytest.raises(NonpolynomialRealizationError, match="degree 2 > degree cap 1"):
+        realize_generator(su2_one, AlgebraElement.basis(3, 2), degree_cap=1)
