@@ -67,7 +67,6 @@ from .polyops import (
     diffop_commutator,
     diffop_max_diff,
     max_coeff_diff,
-    poly_eval,
     render_diffop,
     render_poly,
 )

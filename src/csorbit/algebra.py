@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -233,6 +233,15 @@ class OrbitModel:
     def dim_rep(self) -> int:
         return self.rep.dim_rep
 
+    @cached_property
+    def derived(self):
+        """The model's :class:`orbit.DerivedData`: chart, coherent series,
+        their dense tables and the kernel, each built on first use and kept
+        for the model's lifetime."""
+        from .orbit import DerivedData  # orbit imports this module
+
+        return DerivedData(self)
+
     def describe(self) -> str:
         pars = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
         return f"{self.name}({pars})" if pars else self.name
@@ -335,30 +344,9 @@ def validate_representation(model: OrbitModel, tol: float = STRUCTURE_TOL) -> Va
     return ValidationReport(block_res <= tol, metrics, tol)
 
 
-# -- chart functionals -------------------------------------------------------
-#
-# For each chart direction alpha let A_a = dT(mprime[a]) and B_a = A_a^dagger.
-# The covector field omega(z) = e0^dagger exp(sum_a z_a B_a) starts as
-# e0^dagger + sum_a z_a c_a + (higher order), with c_a = e0^dagger B_a.  The
-# functionals phi_a below are dual to {c_a} within span{e0^dagger, c_1..c_n},
-# so phi_a(omega(z)) = z_a + (a polynomial in strictly lower-grade
-# coordinates).  That triangular structure is what coordinate extraction and
-# its validation rely on.
-
-
-@lru_cache(maxsize=None)
 def _chart(model: OrbitModel):
-    d = model.dim_rep
-    A = [derived_matrix(model, x) for x in model.mprime]
-    B = [a.conj().T for a in A]
-    e0_row = np.zeros(d, dtype=complex)
-    e0_row[model.e0_index] = 1.0
-    rows = [e0_row] + [b[model.e0_index, :] for b in B]
-    M = np.array(rows)
-    dual = np.linalg.pinv(M)  # d x (n+1); columns 1.. are the phi functionals
-    phi = dual[:, 1:]
-    lowering_images = np.column_stack([a[:, model.e0_index] for a in A]) if A else np.zeros((d, 0))
-    return tuple(A), tuple(B), e0_row, phi, lowering_images
+    """(A, B, e0_row, phi, lowering_images); see ``orbit.DerivedData.chart``."""
+    return model.derived.chart
 
 
 def _row_exp(row: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
@@ -405,18 +393,16 @@ def covector_direct(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
 
 def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
     """Covector field omega(z) at a point, read from the dense table of the
-    cached symbolic series (``orbit.coherent_covector``).
+    model's symbolic series (``orbit.coherent_covector``).
 
     It equals :func:`covector_direct` up to rounding, except where the
     series dropped a coefficient below ``polyops.PRUNE_TOL``: on heisenberg
     with ``trunc >= 27`` the entries k >= 27 (coefficient 1/sqrt(k!)) read
     0, which matters at |z| of a few units."""
-    from . import orbit  # orbit imports this module
-
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != model.n:
         raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
-    return orbit.coherent_covector(model).table.eval(z)
+    return model.derived.covector.table.eval(z)
 
 
 def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationReport:

@@ -12,6 +12,8 @@ kind with a uniform angular grid:
     bergman-disk   u = r^2,        Gauss-Jacobi with weight (1-u)^{2k-2}
 
 so the node weights sum to the total mass 1 exactly up to rule exactness.
+Integrands are evaluated at all nodes at once by ``DenseTable.eval``, the
+kernel K(z, conj w) as omega(z) . E(conj w) on the coherent tables.
 Models without a measure (e.g. the su3 catalog entry) cannot run these
 checks and raise :class:`UnsupportedCheckError`.
 """
@@ -26,8 +28,8 @@ from scipy.special import roots_jacobi
 
 from .algebra import AlgebraElement, MeasureSpec, OrbitModel
 from .errors import UnsupportedCheckError
-from .orbit import coherent_covector, kernel
-from .polyops import diffop_apply
+from .orbit import coherent_covector, coherent_vector
+from .polyops import DenseTable, diffop_apply
 from .realize import RealizationTable, realize_generator, symbol
 
 QUAD_RADIAL = 64
@@ -84,18 +86,6 @@ def quadrature_rule(model: OrbitModel, radial: int = QUAD_RADIAL, angular: int =
     return QuadratureRule(nodes, weights, radial, angular, mass_defect)
 
 
-def _interior_indices(model: OrbitModel) -> list[int]:
-    return list(range(model.rep.block_dim))
-
-
-def _symbol_values(model: OrbitModel, rule: QuadratureRule, indices: Sequence[int]) -> np.ndarray:
-    omega = coherent_covector(model).entries
-    pts = rule.nodes.reshape(-1, 1) if model.n == 1 else None
-    if pts is None:
-        raise UnsupportedCheckError("quadrature checks are implemented for rank-one charts")
-    return np.vstack([omega[k].eval_many(pts) for k in indices])
-
-
 def parseval_residual(
     model: OrbitModel, rule: QuadratureRule, basis_indices: Sequence[int] | None = None
 ) -> float:
@@ -107,8 +97,8 @@ def parseval_residual(
     block.
     """
     if basis_indices is None:
-        basis_indices = _interior_indices(model)
-    V = _symbol_values(model, rule, basis_indices)
+        basis_indices = range(model.rep.block_dim)
+    V = coherent_covector(model).table.eval(rule.nodes[:, None])[:, list(basis_indices)].T
     G = (V.conj() * rule.weights) @ V.T
     return float(np.max(np.abs(G - np.eye(len(basis_indices)))))
 
@@ -116,18 +106,19 @@ def parseval_residual(
 def reproducing_residual(
     model: OrbitModel, rule: QuadratureRule, psi: Sequence[complex], w: Sequence[complex]
 ) -> float:
-    """|F_psi(w) - integral conj(K_w(z)) F_psi(z) dnu(z)| with
-    K_w(z) = K(z, conj w): the point-evaluation property of the kernel."""
-    w = np.asarray(w, dtype=complex).reshape(-1)
-    kp = kernel(model)
-    fixed = {kp.n + i: np.conj(w[i]) for i in range(kp.n)}
-    kw = kp.poly.partial_eval(fixed)
-    fpsi = symbol(model, psi)
-    pts = rule.nodes.reshape(-1, 1)
-    vals_k = kw.eval_many(pts)
-    vals_f = fpsi.eval_many(pts)
-    integral = np.sum(rule.weights * vals_k.conj() * vals_f)
-    return float(abs(fpsi.eval(w) - integral))
+    """|F_psi(w) - integral conj(K_w(z)) F_psi(z) dnu(z)|, the point-evaluation
+    property of K_w(z) = K(z, conj w) summed as in :func:`orbit.kernel_eval`.
+    ``psi`` and ``w`` are one vector and one point, or (K, d) and (K, n)
+    stacks that share one evaluation at the nodes; returns the max residual."""
+    psi = np.atleast_2d(np.asarray(psi, dtype=complex))
+    w = np.atleast_2d(np.asarray(w, dtype=complex))
+    if psi.shape[1] != model.dim_rep:
+        raise ValueError(f"psi length {psi.shape[1]} != dim_rep {model.dim_rep}")
+    omega = coherent_covector(model).table
+    at_nodes = omega.eval(rule.nodes[:, None])
+    k_w = at_nodes @ coherent_vector(model).table.eval(np.conj(w)).T
+    integrals = rule.weights @ (k_w.conj() * (at_nodes @ psi.T))
+    return float(np.max(np.abs(np.sum(omega.eval(w) * psi, axis=1) - integrals)))
 
 
 def adjoint_residual(
@@ -155,7 +146,7 @@ def adjoint_residual(
     d_x, d_xs = (realize_generator(model, y) if table is None else table.operator(y) for y in (x, x_star))
     ff = symbol(model, f)
     fg = symbol(model, g)
-    pts = rule.nodes.reshape(-1, 1)
-    lhs = np.sum(rule.weights * diffop_apply(d_x, ff).eval_many(pts).conj() * fg.eval_many(pts))
-    rhs = np.sum(rule.weights * ff.eval_many(pts).conj() * diffop_apply(d_xs, fg).eval_many(pts))
+    values = DenseTable([diffop_apply(d_x, ff), fg, ff, diffop_apply(d_xs, fg)]).eval(rule.nodes[:, None])
+    lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
+    rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
     return float(abs(lhs - rhs))

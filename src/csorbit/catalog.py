@@ -26,6 +26,7 @@ su3(p, q)
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from pathlib import Path
@@ -333,7 +334,10 @@ def _enc_c(c: complex) -> list[float]:
 def _dec_c(v) -> complex:
     if not (isinstance(v, (list, tuple)) and len(v) == 2):
         raise ModelStructureError(f"expected [re, im] pair, got {v!r}")
-    return complex(float(v[0]), float(v[1]))
+    c = complex(float(v[0]), float(v[1]))
+    if not cmath.isfinite(c):
+        raise ModelStructureError(f"expected a finite [re, im] pair, got {v!r}")
+    return c
 
 
 def _enc_matrix(m: np.ndarray) -> list:
@@ -381,7 +385,7 @@ def model_from_dict(data: dict) -> OrbitModel:
         spec = LieAlgebraSpec(
             int(data["dim"]),
             tuple(data["basis_labels"]),
-            tuple((int(i), int(j), int(k), complex(re, im)) for i, j, k, re, im in data["structure"]),
+            tuple((int(i), int(j), int(k), _dec_c([re, im])) for i, j, k, re, im in data["structure"]),
         )
         rep_data = data["rep"]
         mats = tuple(_dec_matrix(m) for m in rep_data["matrices"])
@@ -430,6 +434,8 @@ def _read_json(path: Path) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ModelStructureError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ModelStructureError(f"cannot read {path}: {exc}") from exc
 
 
 def dump_model(model: OrbitModel, path: str | Path) -> None:
@@ -442,7 +448,10 @@ def read_complex_matrix(path: str | Path) -> np.ndarray:
     """Read a d x d complex matrix stored as JSON rows of [re, im] pairs
     (the group-element file format)."""
     data = _read_json(Path(path))
-    m = _dec_matrix(data)
+    try:
+        m = _dec_matrix(data)
+    except (TypeError, ValueError) as exc:
+        raise ModelStructureError(f"{path} does not hold rows of [re, im] pairs: {exc}") from exc
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ModelStructureError(f"expected a square matrix, got shape {m.shape}")
     return m

@@ -13,14 +13,16 @@ is deterministic: fixed orderings, fixed formatting, fixed random seeds.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import analysis, catalog, orbit, realize
-from .algebra import AlgebraElement, validate_model, validate_representation, validate_structure
+from .algebra import AlgebraElement, covector_direct, validate_model, validate_representation, validate_structure
 from .catalog import DEGREE_TARGETS, load_model, read_complex_matrix
 from .errors import CsorbitError, UnsupportedCheckError
 from .polyops import render_poly
@@ -84,12 +86,13 @@ class RunReport:
 
 def _parse_complex(token: str) -> complex:
     try:
-        if "," in token:
-            re_s, im_s = token.split(",", 1)
-            return complex(float(re_s), float(im_s))
-        return complex(float(token), 0.0)
+        re_s, im_s = token.split(",", 1) if "," in token else (token, "0")
+        value = complex(float(re_s), float(im_s))
     except ValueError as exc:
         raise CsorbitError(f"cannot parse complex number {token!r} (want re,im)") from exc
+    if not cmath.isfinite(value):
+        raise CsorbitError(f"complex number {token!r} is not finite")
+    return value
 
 
 def _parse_quad(text: str) -> tuple[int, int]:
@@ -101,6 +104,16 @@ def _parse_quad(text: str) -> tuple[int, int]:
     if radial < 1 or angular < 1:
         raise CsorbitError(f"quadrature spec {text!r} needs node counts >= 1")
     return radial, angular
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _positive_int(text: str) -> int:
@@ -120,13 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_model_flags(p):
         p.add_argument("--model", help="catalog model name")
         p.add_argument("--model-file", help="path to a JSON model file")
-        p.add_argument("--j", type=float, help="su2 spin")
-        p.add_argument("--k", type=float, help="su11 lowest weight")
+        p.add_argument("--j", type=_finite_float, help="su2 spin")
+        p.add_argument("--k", type=_finite_float, help="su11 lowest weight")
         p.add_argument("--p", type=int, help="su3 first weight label")
         p.add_argument("--q", type=int, help="su3 second weight label")
         p.add_argument("--trunc", type=int, help="ladder truncation level")
         p.add_argument("--margin", type=int, help="truncation margin")
-        p.add_argument("--tol", type=float, help="override all check tolerances")
+        p.add_argument("--tol", type=_finite_float, help="override all check tolerances")
         p.add_argument("--degree-cap", type=_positive_int, default=realize.DEGREE_CAP, help="largest degree accepted")
         p.add_argument("--quad", default="64,64", help="radial,angular quadrature nodes")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
@@ -346,7 +359,10 @@ def _run_checks(model, names, args) -> list[dict]:
         results.append(entry)
 
     def simple(name, residual, tolerance):
-        record(name, residual, tolerance, "pass" if residual <= tolerance else "fail")
+        if not math.isfinite(residual):  # JSON has no NaN or infinity
+            record(name, None, tolerance, "fail", note=f"residual is {residual}")
+        else:
+            record(name, residual, tolerance, "pass" if residual <= tolerance else "fail")
 
     def run_one(name, tol):
         if name == "structure":
@@ -391,40 +407,29 @@ def _run_checks(model, names, args) -> list[dict]:
                         note=f"target {op} {bound}",
                     )
         elif name == "flow":
-            worst = 0.0
+            residuals = []
             for idx in range(model.spec.dim):
                 x = AlgebraElement.basis(model.spec.dim, idx)
                 points = [_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)]
-                flow = realize.flow_crosscheck(model, x, points, degree_cap=args.degree_cap, table=complete)
-                worst = max(worst, flow)
-            simple(name, worst, tol)
+                residuals.append(realize.flow_crosscheck(model, x, points, degree_cap=args.degree_cap, table=complete))
+            simple(name, float(np.max(residuals)), tol)
         elif name == "cocycle":
-            worst = 0.0
-            if fixed_pair is not None:
-                g1, g2 = fixed_pair
-                for _ in range(5):
-                    z = _random_point(rng, model, 0.3)
-                    worst = max(worst, realize.cocycle_residual(model, g1, g2, z))
-            else:
-                for _ in range(COCYCLE_PAIRS):
-                    g1 = _random_group_element(rng, model)
-                    g2 = _random_group_element(rng, model)
-                    z = _random_point(rng, model, 0.3)
-                    worst = max(worst, realize.cocycle_residual(model, g1, g2, z))
-            simple(name, worst, tol)
+            residuals = []
+            for _ in range(COCYCLE_PAIRS if fixed_pair is None else 5):
+                g1, g2 = fixed_pair or (_random_group_element(rng, model), _random_group_element(rng, model))
+                residuals.append(realize.cocycle_residual(model, g1, g2, _random_point(rng, model, 0.3)))
+            simple(name, float(np.max(residuals)), tol)
         elif name == "roundtrip":
-            worst = 0.0
+            residuals = []
             # the reference covector comes from the chart matrices, not from
             # the symbolic series that extract_coordinates solves against
-            from .algebra import covector_direct
-
             for _ in range(ROUNDTRIP_DRAWS):
                 z0 = _random_point(rng, model, 0.5)
                 mu0 = (0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
                 v = mu0 * covector_direct(model, z0)
                 mu, z = orbit.extract_coordinates(model, v)
-                worst = max(worst, abs(mu - mu0) / (1 + abs(mu0)), float(np.max(np.abs(z - z0))))
-            simple(name, worst, tol)
+                residuals += [abs(mu - mu0) / (1 + abs(mu0)), *np.abs(z - z0)]
+            simple(name, float(np.max(residuals)), tol)
         elif name in ("parseval", "reproducing", "adjoint"):
             if rule_error is not None:
                 record(name, None, tol, "skip", note=rule_error)
@@ -435,19 +440,18 @@ def _run_checks(model, names, args) -> list[dict]:
                 simple(name, analysis.parseval_residual(model, rule), tol)
             elif name == "reproducing":
                 tol = args.tol if args.tol is not None else tier
-                worst = 0.0
                 block = model.rep.block_dim
-                for _ in range(REPRODUCING_DRAWS):
-                    psi = np.zeros(model.dim_rep, dtype=complex)
+                psis = np.zeros((REPRODUCING_DRAWS, model.dim_rep), dtype=complex)
+                points = []
+                for psi in psis:
                     psi[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
-                    w = _random_point(rng, model, 0.4)
-                    worst = max(worst, analysis.reproducing_residual(model, rule, psi, w))
-                simple(name, worst, tol)
+                    points.append(_random_point(rng, model, 0.4))
+                simple(name, analysis.reproducing_residual(model, rule, psis, points), tol)
             else:
                 if model.adjoint_pairs is None:
                     record(name, None, tol, "skip", note="no adjoint pairs declared")
                     return
-                worst = 0.0
+                residuals = []
                 block = model.rep.block_dim
                 for idx in sorted(model.adjoint_pairs):
                     f = np.zeros(model.dim_rep, dtype=complex)
@@ -455,8 +459,8 @@ def _run_checks(model, names, args) -> list[dict]:
                     f[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
                     g[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
                     x = AlgebraElement.basis(model.spec.dim, idx)
-                    worst = max(worst, analysis.adjoint_residual(model, rule, x, f, g, table=complete))
-                simple(name, worst, tol)
+                    residuals.append(analysis.adjoint_residual(model, rule, x, f, g, table=complete))
+                simple(name, float(np.max(residuals)), tol)
 
     for name in names:
         tol = tol_of(name)

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, OrbitModel, _chart, covector_numeric, derived_matrix
+from .algebra import AlgebraElement, OrbitModel, covector_numeric, derived_matrix
 from .errors import (
     DegeneratePointError,
     ModelStructureError,
@@ -145,50 +145,89 @@ def _series(model: OrbitModel, mats: Sequence[np.ndarray], start: np.ndarray) ->
     return tuple(entries)
 
 
-@lru_cache(maxsize=None)
+# -- chart functionals -------------------------------------------------------
+#
+# For each chart direction alpha let A_a = dT(mprime[a]) and B_a = A_a^dagger.
+# The covector field omega(z) = e0^dagger exp(sum_a z_a B_a) starts as
+# e0^dagger + sum_a z_a c_a + (higher order), with c_a = e0^dagger B_a.  The
+# functionals phi_a below are dual to {c_a} within span{e0^dagger, c_1..c_n},
+# so phi_a(omega(z)) = z_a + (a polynomial in strictly lower-grade
+# coordinates).  That triangular structure is what coordinate extraction and
+# its validation rely on.
+
+
+class DerivedData:
+    """Everything the package derives from one model, each part built on
+    first use: the chart matrices and functionals, the coherent vector E and
+    covector omega (see :func:`coherent_vector`, :func:`coherent_covector`)
+    with their dense tables, and the kernel polynomial.  ``OrbitModel.derived``
+    owns one, so it lives exactly as long as the model."""
+
+    def __init__(self, model: OrbitModel):
+        self.model = model
+
+    @cached_property
+    def chart(self) -> tuple:
+        """(A, B, e0_row, phi, lowering_images): the chart matrices A_a and
+        B_a, the extremal row, the d x n functionals phi and the columns
+        A_a e0."""
+        model = self.model
+        d = model.dim_rep
+        A = [derived_matrix(model, x) for x in model.mprime]
+        B = [a.conj().T for a in A]
+        e0_row = np.zeros(d, dtype=complex)
+        e0_row[model.e0_index] = 1.0
+        rows = [e0_row] + [b[model.e0_index, :] for b in B]
+        dual = np.linalg.pinv(np.array(rows))  # d x (n+1); columns 1.. are the phi functionals
+        lowering_images = np.column_stack([a[:, model.e0_index] for a in A]) if A else np.zeros((d, 0))
+        return tuple(A), tuple(B), e0_row, dual[:, 1:], lowering_images
+
+    @cached_property
+    def vector(self) -> PolyVector:
+        A, _, e0_row, _, _ = self.chart
+        return PolyVector(_series(self.model, A, e0_row))
+
+    @cached_property
+    def covector(self) -> PolyCovector:
+        _, B, e0_row, _, _ = self.chart
+        return PolyCovector(_series(self.model, [b.T for b in B], e0_row))  # row @ B == B.T @ column
+
+    @cached_property
+    def kernel(self) -> KernelPoly:
+        n = self.model.n
+        total = MultiPoly.zero(2 * n)
+        for ok, ek in zip(self.covector.entries, self.vector.entries):
+            if not (ok.is_zero() or ek.is_zero()):
+                total = total + ok.embed(2 * n, 0) * ek.embed(2 * n, n)
+        return KernelPoly(total, n)
+
+
 def coherent_vector(model: OrbitModel) -> PolyVector:
     """E(z) = exp(sum_a z_a A_a) e0 as an exact finite series."""
-    A, _, _, _, _ = _chart(model)
-    e0 = np.zeros(model.dim_rep, dtype=complex)
-    e0[model.e0_index] = 1.0
-    return PolyVector(_series(model, A, e0))
+    return model.derived.vector
 
 
-@lru_cache(maxsize=None)
 def coherent_covector(model: OrbitModel) -> PolyCovector:
     """Row series over B_a = A_a^dagger matching the model's chart, so that
     omega_k(z) = conj-coefficients of E_k(z) holds entrywise."""
-    _, B, _, _, _ = _chart(model)
-    e0 = np.zeros(model.dim_rep, dtype=complex)
-    e0[model.e0_index] = 1.0
-    transposed = [b.T for b in B]  # row @ B == B.T @ column
-    return PolyCovector(_series(model, transposed, e0))
+    return model.derived.covector
 
 
-@lru_cache(maxsize=None)
 def kernel(model: OrbitModel) -> KernelPoly:
-    """K(z, w) = sum_k omega_k(z) E_k(w) in 2n variables."""
-    n = model.n
-    omega = coherent_covector(model).entries
-    evec = coherent_vector(model).entries
-    total = MultiPoly.zero(2 * n)
-    for ok, ek in zip(omega, evec):
-        if ok.is_zero() or ek.is_zero():
-            continue
-        total = total + ok.embed(2 * n, 0) * ek.embed(2 * n, n)
-    return KernelPoly(total, n)
+    """K(z, w) = sum_k omega_k(z) E_k(w) in 2n variables, for display; its
+    values come from :func:`kernel_eval`."""
+    return model.derived.kernel
 
 
 def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -> complex:
     """Evaluate K at chart points: the second point enters conjugated.
 
     Computed from the kernel's defining sum omega(z) . E(conj w) on the
-    dense tables.  This is the value of the polynomial ``kernel(model)`` up
-    to rounding, except where that expansion dropped a product coefficient
-    below ``polyops.PRUNE_TOL`` which the sum keeps: on heisenberg with
-    ``trunc >= 17`` the terms (z conj w)^k / k! for k = 17..26, so the two
-    differ by about 1e-6 relative at |z| = |w| = 2 (the sum is the closer
-    one to the exact kernel)."""
+    dense tables, which is how every kernel value in the package is
+    evaluated.  The polynomial ``kernel(model)`` expands the same sum but
+    drops each product coefficient below ``polyops.PRUNE_TOL``: on
+    heisenberg with ``trunc >= 17`` the terms (z conj w)^k / k! for
+    k = 17..26, about 1e-6 relative at |z| = |w| = 2."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     if z.shape[0] != model.n or w.shape[0] != model.n:
@@ -234,7 +273,7 @@ def extract_coordinates(
     if scale == 0.0 or abs(mu) <= POLAR_TOL * scale:
         raise PolarDivisorError("covector lies on the polar divisor of the base point")
     W = v / mu
-    _, _, _, phi, _ = _chart(model)
+    phi = model.derived.chart[3]
     omega = coherent_covector(model).table
     z = np.zeros(model.n, dtype=complex)
     for g in sorted(set(model.grading)):
@@ -281,13 +320,12 @@ def polar_check(
 ) -> bool:
     """True iff w lies on the polar divisor of z, i.e. K(z, conj w) vanishes
     relative to the largest kernel term at the evaluation point."""
-    kp = kernel(model)
+    val = abs(kernel_eval(model, z, w))
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     point = list(z) + list(np.conj(w))
-    val = abs(kp.poly.eval(point))
     scale = 0.0
-    for expo, coeff in kp.poly.terms.items():
+    for expo, coeff in kernel(model).poly.terms.items():
         mag = abs(coeff)
         for pi, ei in zip(point, expo):
             if ei:

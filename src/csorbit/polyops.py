@@ -133,20 +133,6 @@ class MultiPoly:
             out += val
         return out
 
-    def eval_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation over an (N, nvars) complex array."""
-        pts = np.asarray(points, dtype=complex)
-        if pts.ndim != 2 or pts.shape[1] != self.nvars:
-            raise ValueError(f"points must have shape (N, {self.nvars})")
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for e in sorted(self.terms):
-            val = np.full(pts.shape[0], self.terms[e])
-            for i, ei in enumerate(e):
-                if ei:
-                    val = val * pts[:, i] ** ei
-            out += val
-        return out
-
     def embed(self, nvars: int, offset: int = 0) -> "MultiPoly":
         """Reinterpret in a larger variable set, variable i -> i + offset."""
         if offset < 0 or offset + self.nvars > nvars:
@@ -156,20 +142,6 @@ class MultiPoly:
             key = (0,) * offset + e + (0,) * (nvars - offset - self.nvars)
             acc[key] = c
         return MultiPoly(nvars, acc)
-
-    def partial_eval(self, fixed: Mapping[int, complex]) -> "MultiPoly":
-        """Substitute values for a subset of variables; remaining variables
-        keep their relative order."""
-        keep = [i for i in range(self.nvars) if i not in fixed]
-        acc: dict[tuple[int, ...], complex] = {}
-        for e, c in self.terms.items():
-            val = c
-            for i, v in fixed.items():
-                if e[i]:
-                    val *= complex(v) ** e[i]
-            key = tuple(e[i] for i in keep)
-            acc[key] = acc.get(key, 0j) + val
-        return MultiPoly(len(keep), acc)
 
     def __repr__(self):
         return f"MultiPoly({render_poly(self)})"
@@ -200,19 +172,18 @@ class DenseTable:
         top = int(self.exponents.max()) if self.exponents.size else 0
         self._powers = np.arange(top + 1)
 
-    def eval(self, point: Sequence[complex]) -> np.ndarray:
-        """All entries at one point, as a length-d complex array."""
-        z = np.asarray(point, dtype=complex).reshape(-1)
-        if z.shape[0] != self.nvars:
-            raise ValueError(f"point length {z.shape[0]} does not match nvars={self.nvars}")
-        powers = z[:, None] ** self._powers  # powers[i, e] = z_i^e
-        monomials = powers[np.arange(self.nvars), self.exponents].prod(axis=1)
-        return self.coeffs @ monomials
-
-
-def poly_eval(p: MultiPoly, point: Sequence[complex]) -> complex:
-    """Evaluate ``p`` at ``point`` (length must equal ``p.nvars``)."""
-    return p.eval(point)
+    def eval(self, points: Sequence[complex] | np.ndarray) -> np.ndarray:
+        """All entries at one point, (nvars,) -> (d,), or at each of a stack
+        of points, (N, nvars) -> (N, d).  A row of a stack is bit for bit
+        the value at that point alone."""
+        z = np.asarray(points, dtype=complex)
+        if z.ndim not in (1, 2) or z.shape[-1] != self.nvars:
+            raise ValueError(f"points of shape {z.shape} do not have nvars={self.nvars} coordinates")
+        powers = z[..., None] ** self._powers  # powers[..., i, e] = z_i^e
+        # gathered contiguously and contracted point by point, so that a
+        # stack is multiplied and summed in the same order as one point
+        monomials = np.ascontiguousarray(powers[..., np.arange(self.nvars), self.exponents]).prod(axis=-1)
+        return (self.coeffs @ monomials[..., None])[..., 0]
 
 
 def max_coeff_diff(p: MultiPoly, q: MultiPoly) -> float:

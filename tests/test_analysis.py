@@ -14,6 +14,7 @@ from csorbit import (
     reproducing_residual,
     symbol,
 )
+from csorbit.polyops import DenseTable
 
 
 def test_rule_normalization_su2(su2_one):
@@ -77,10 +78,8 @@ def test_parseval_gram_values_match_gaussian_moments(heis10):
     import math
 
     rule = quadrature_rule(heis10, 64, 64)
-    F3 = symbol(heis10, np.eye(11)[3])
-    F5 = symbol(heis10, np.eye(11)[5])
     pts = rule.nodes.reshape(-1, 1)
-    v3, v5 = F3.eval_many(pts), F5.eval_many(pts)
+    v3, v5 = DenseTable([symbol(heis10, np.eye(11)[3]), symbol(heis10, np.eye(11)[5])]).eval(pts).T
     assert np.sum(rule.weights * v3.conj() * v3) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.sum(rule.weights * v3.conj() * v5)) < 1e-12
     raw = np.sum(rule.weights * np.conj(pts[:, 0] ** 3) * pts[:, 0] ** 3)
@@ -117,6 +116,29 @@ def test_reproducing_heisenberg_interior(heis10, rng):
     psi[:8] = rng.standard_normal(8) + 1j * rng.standard_normal(8)
     w = [0.3 - 0.4j]
     assert reproducing_residual(heis10, rule, psi, w) <= 1e-6
+
+
+def test_reproducing_heisenberg_trunc40_below_pruning(rng):
+    # the kernel's terms (z conj w)^k / k! for k >= 17 lie below PRUNE_TOL,
+    # so the residual shows whether K is summed from the tables or read
+    # from the pruned kernel polynomial (about 1e-9)
+    m = load_model("heisenberg", trunc=40)
+    rule = quadrature_rule(m, 64, 64)
+    block = m.rep.block_dim
+    for _ in range(3):
+        psi = np.zeros(m.dim_rep, dtype=complex)
+        psi[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
+        w = 0.4 * (rng.uniform(-1, 1, 1) + 1j * rng.uniform(-1, 1, 1))
+        assert reproducing_residual(m, rule, psi, w) <= 1e-12
+
+
+def test_reproducing_stack_is_max_of_single_pairs(su2_one, rng):
+    rule = quadrature_rule(su2_one, 1, 2)  # coarse, so residuals are far above rounding
+    psis = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    ws = 0.5 * (rng.standard_normal((4, 1)) + 1j * rng.standard_normal((4, 1)))
+    single = [reproducing_residual(su2_one, rule, psi, w) for psi, w in zip(psis, ws)]
+    assert min(single) > 1e-3
+    assert reproducing_residual(su2_one, rule, psis, ws) == pytest.approx(max(single), rel=1e-12)
 
 
 def test_adjoint_su2(su2_one, rng):

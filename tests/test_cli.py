@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from csorbit import dump_model, load_model
+from csorbit import dump_model, load_model, model_to_dict
 from csorbit.cli import run
 
 
@@ -271,3 +271,64 @@ def test_kernel_eval_negative_real_part_in_one_argument(capsys):
     zw = complex(-0.3, 0.1) * 0.2
     value = report.kernel["eval"]["value"]
     assert complex(*value) == pytest.approx(1 + 2 * zw + zw**2, abs=1e-14)
+
+
+def _input_files(tmp_path) -> dict:
+    """Malformed files named by the placeholders of the cases below."""
+    nan_matrix = tmp_path / "nan.json"
+    nan_matrix.write_text(json.dumps([[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    identity = tmp_path / "identity.json"
+    identity.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"name": "café"}'.encode("latin-1"))
+    flat = tmp_path / "flat.json"
+    flat.write_text("[1, 2, 3]")
+    data = model_to_dict(load_model("su2", j=1))
+    data["structure"][0][3] = math.nan
+    nan_structure = tmp_path / "nan-structure.json"
+    nan_structure.write_text(json.dumps(data))
+    return {"dir": tmp_path, "nan_matrix": nan_matrix, "identity": identity, "latin1": latin1, "flat": flat,
+            "nan_structure": nan_structure}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["check", "--model", "su2", "--suite", "cocycle", "--g1-exp", "J0:1,0", "--g2-exp", "J0:nan"], id="g2-exp-nan"),
+        pytest.param(["check", "--model", "su2", "--suite", "cocycle", "--g1-exp", "J0:inf,0", "--g2-exp", "J0:1"], id="g1-exp-inf"),
+        pytest.param(["kernel", "--model", "su2", "--eval", "1,0", "nan,0"], id="eval-nan"),
+        pytest.param(["kernel", "--model", "su2", "--eval", "1,-inf", "0,0"], id="eval-inf"),
+        pytest.param(["check", "--model", "su2", "--tol", "nan"], id="tol-nan"),
+        pytest.param(["realize", "--model", "su2", "--j", "nan"], id="j-nan"),
+        pytest.param(["realize", "--model", "su2", "--j", "inf"], id="j-inf"),
+        pytest.param(["realize", "--model", "su11", "--k", "nan"], id="k-nan"),
+        pytest.param(["check", "--model", "su2", "--suite", "cocycle", "--g1-file", "{nan_matrix}", "--g2-file", "{identity}"], id="g1-file-nan"),
+        pytest.param(["realize", "--model-file", "{dir}"], id="model-file-directory"),
+        pytest.param(["realize", "--model-file", "{latin1}"], id="model-file-not-utf8"),
+        pytest.param(["check", "--model-file", "{nan_structure}", "--suite", "structure"], id="model-file-nan-structure-constant"),
+        pytest.param(["check", "--model", "su2", "--suite", "cocycle", "--g1-file", "{flat}", "--g2-file", "{identity}"], id="g1-file-flat-list"),
+    ],
+)
+def test_malformed_input_exits_2(argv, tmp_path, capsys):
+    files = _input_files(tmp_path)
+    code, report = run([arg.format(**files) for arg in argv] + ["--json"])
+    captured = capsys.readouterr()
+    assert code == 2 and report is None
+    assert captured.out == "" and captured.err
+
+
+def test_nan_residual_fails_its_check(monkeypatch, capsys):
+    from csorbit import realize
+
+    cocycle = realize.cocycle_residual
+    calls = []
+
+    def second_is_nan(*args):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else cocycle(*args)
+
+    monkeypatch.setattr(realize, "cocycle_residual", second_is_nan)
+    code, out, report = invoke(["check", "--model", "su2", "--suite", "cocycle", "--json"], capsys)
+    assert code == 1
+    assert report.checks[0]["status"] == "fail" and report.checks[0]["residual"] is None
+    assert json.loads(out)["checks"][0]["note"] == "residual is nan"

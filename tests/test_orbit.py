@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +24,6 @@ from csorbit import (
     max_coeff_diff,
     normalization,
     polar_check,
-    poly_eval,
 )
 from csorbit.algebra import _chart, covector_direct, covector_numeric
 from csorbit.polyops import MultiPoly
@@ -103,7 +104,7 @@ def test_kernel_goldens(su2_half, su2_one):
     want = MultiPoly(2, {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0})
     assert max_coeff_diff(kp1.poly, want) < 1e-14
     # evaluation example
-    assert poly_eval(kp1.poly, [1, 1]) == pytest.approx(4.0)
+    assert kp1.poly.eval([1, 1]) == pytest.approx(4.0)
     assert kernel_eval(su2_one, [1], [1]) == pytest.approx(4.0)
 
 
@@ -394,3 +395,14 @@ def test_degenerate_normalization_guard(su2_half, monkeypatch):
     monkeypatch.setattr(orbit_mod, "kernel_eval", lambda m, z, w: complex(1.0, 0.8))
     with pytest.raises(DegeneratePointError):
         orbit_mod.normalization(su2_half, [0.3])
+
+
+def test_derived_data_is_collected_with_its_model():
+    model = load_model("su2", j=2)
+    omega = coherent_covector(model)
+    assert coherent_covector(model) is omega and kernel(model) is kernel(model)
+    covector_numeric(model, [0.1])  # builds the dense table as well
+    refs = weakref.ref(model), weakref.ref(omega)
+    del model, omega
+    gc.collect()
+    assert [r() for r in refs] == [None, None]

@@ -9,7 +9,6 @@ from csorbit.polyops import (
     diffop_commutator,
     diffop_max_diff,
     max_coeff_diff,
-    poly_eval,
     render_diffop,
     render_poly,
 )
@@ -52,10 +51,10 @@ def test_nvars_and_exponent_validation():
 
 def test_poly_eval_examples():
     p = MultiPoly(2, {(0, 0): 1.0, (1, 1): 1.0})  # 1 + z1 z2
-    assert poly_eval(p, [2, 3]) == pytest.approx(7)
-    assert poly_eval(MultiPoly.zero(3), [1, 2, 3]) == 0
+    assert p.eval([2, 3]) == pytest.approx(7)
+    assert MultiPoly.zero(3).eval([1, 2, 3]) == 0
     with pytest.raises(ValueError):
-        poly_eval(p, [1.0])
+        p.eval([1.0])
 
 
 def test_dense_table_matches_eval(rng):
@@ -71,12 +70,19 @@ def test_dense_table_matches_eval(rng):
         table.eval([1.0, 2.0])
 
 
-def test_eval_matches_eval_many(rng):
-    p = rand_poly(rng, 3, 4)
+def test_dense_table_batch_matches_eval(rng):
+    polys = [rand_poly(rng, 3, 4) for _ in range(5)] + [MultiPoly.zero(3)]
+    table = DenseTable(polys)
     pts = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-    batch = p.eval_many(pts)
-    single = np.array([p.eval(pt) for pt in pts])
-    assert np.max(np.abs(batch - single)) < 1e-12
+    batch = table.eval(pts)
+    assert batch.shape == (8, len(polys))
+    for pt, row in zip(pts, batch):
+        assert np.max(np.abs(row - [p.eval(pt) for p in polys])) < 1e-12
+        assert np.array_equal(row, table.eval(pt))  # a stack row is the one-point value
+    with pytest.raises(ValueError):
+        table.eval(pts[:, :2])
+    with pytest.raises(ValueError):
+        table.eval(pts[None])
 
 
 def test_ring_distributivity_exact(rng):
@@ -161,11 +167,7 @@ def test_commutator_jacobi_identity(rng):
         assert diffop_max_diff(total, DiffOp1.zero(2)) <= 1e-12
 
 
-def test_partial_eval_and_embed():
-    p = MultiPoly(2, {(1, 1): 2.0, (0, 2): 1.0})  # 2 z1 z2 + z2^2
-    q = p.partial_eval({1: 3.0})  # -> 6 z1 + 9
-    assert q.nvars == 1
-    assert q.eval([1.0]) == pytest.approx(15)
+def test_embed():
     e = MultiPoly.variable(1, 0).embed(3, offset=2)
     assert e.terms == {(0, 0, 1): 1.0}
 
