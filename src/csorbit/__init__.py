@@ -34,6 +34,7 @@ from .catalog import (
     model_to_dict,
     read_complex_matrix,
 )
+from .checks import CHECK_ORDER, run_checks
 from .errors import (
     CsorbitError,
     DegeneratePointError,

@@ -11,6 +11,7 @@ each direction descends).
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -51,6 +52,8 @@ class LieAlgebraSpec:
             i, j, k, c = entry
             if not (0 <= i < self.dim and 0 <= j < self.dim and 0 <= k < self.dim):
                 raise ModelStructureError(f"structure entry {entry} has index out of range")
+            if not cmath.isfinite(complex(c)):
+                raise ModelStructureError(f"structure entry {entry} has a non-finite constant")
             entries.append((int(i), int(j), int(k), complex(c)))
         self.structure = tuple(entries)
 
@@ -87,6 +90,8 @@ class AlgebraElement:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
+        if not np.all(np.isfinite(self.coeffs)):
+            raise ModelStructureError("algebra element coefficients must be finite")
 
     @classmethod
     def basis(cls, dim: int, i: int) -> "AlgebraElement":
@@ -126,6 +131,8 @@ class MatrixRep:
                     f"representation matrix has shape {m.shape}, expected "
                     f"({self.dim_rep}, {self.dim_rep})"
                 )
+            if not np.all(np.isfinite(m)):
+                raise ModelStructureError("representation matrix entries must be finite")
             mats.append(m)
         self.matrices = tuple(mats)
         if self.trunc_margin < 0 or self.trunc_margin >= self.dim_rep:
@@ -161,8 +168,12 @@ class MeasureSpec:
         if self.kind not in self._KINDS:
             raise ModelStructureError(f"unknown measure kind {self.kind!r}")
         key = self._REQUIRED_PARAM.get(self.kind)
-        if key is not None and key not in self.params:
-            raise ModelStructureError(f"{self.kind} measure needs parameter {key!r}")
+        if key is not None:
+            value = self.params.get(key)
+            if not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ModelStructureError(f"{self.kind} measure needs parameter {key!r}, a finite number")
+            if key == "k" and not value > 0.5:
+                raise ModelStructureError("bergman-disk measure needs k > 1/2")
         if self.domain not in ("plane", "disk"):
             raise ModelStructureError(f"unknown chart domain {self.domain!r}")
         if self.domain == "disk" and not (0 < self.radius < math.inf):
@@ -256,11 +267,6 @@ class ValidationReport:
     metrics: dict[str, float]
     tol: float
 
-    def merge(self, other: "ValidationReport") -> "ValidationReport":
-        metrics = dict(self.metrics)
-        metrics.update(other.metrics)
-        return ValidationReport(self.passed and other.passed, metrics, max(self.tol, other.tol))
-
 
 def derived_matrix(model: OrbitModel, x: AlgebraElement) -> np.ndarray:
     """Matrix of the derived representation at ``x``: the complex-linear
@@ -276,6 +282,12 @@ def derived_matrix(model: OrbitModel, x: AlgebraElement) -> np.ndarray:
     return out
 
 
+def _worst(values) -> float:
+    """Largest of the values, 0.0 for none.  A NaN among them propagates,
+    where Python's ``max`` keeps whichever argument comes first."""
+    return float(np.max([0.0, *values]))
+
+
 def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> ValidationReport:
     """Check antisymmetry of stored constants and the Jacobi identity.
 
@@ -283,16 +295,16 @@ def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> Vali
     orientations (both (i,j) and (j,i) present but not opposite) or from
     diagonal entries (i, i, ., c != 0).
     """
-    anti = 0.0
+    anti = []
     for i in range(spec.dim):
         diag = spec._oriented(i, i)
         if diag is not None:
-            anti = max(anti, float(np.max(np.abs(diag))))
+            anti.append(np.max(np.abs(diag)))
         for j in range(i + 1, spec.dim):
             fwd = spec._oriented(i, j)
             rev = spec._oriented(j, i)
             if fwd is not None and rev is not None:
-                anti = max(anti, float(np.max(np.abs(fwd + rev))))
+                anti.append(np.max(np.abs(fwd + rev)))
 
     brackets = {}
     for i in range(spec.dim):
@@ -307,7 +319,7 @@ def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> Vali
                 out += c * brackets[i, m]
         return out
 
-    jac = 0.0
+    jac = []
     for i in range(spec.dim):
         for j in range(i + 1, spec.dim):
             for k in range(j + 1, spec.dim):
@@ -316,8 +328,9 @@ def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> Vali
                     + double_bracket(j, k, i)
                     + double_bracket(k, i, j)
                 )
-                jac = max(jac, float(np.max(np.abs(total))))
+                jac.append(np.max(np.abs(total)))
 
+    anti, jac = _worst(anti), _worst(jac)
     metrics = {"antisymmetry": anti, "jacobi": jac}
     return ValidationReport(anti <= tol and jac <= tol, metrics, tol)
 
@@ -330,16 +343,17 @@ def validate_representation(model: OrbitModel, tol: float = STRUCTURE_TOL) -> Va
     """
     rep = model.rep
     b = rep.block_dim
-    block_res = 0.0
-    global_res = 0.0
+    block_res = []
+    global_res = []
     for i in range(model.spec.dim):
         for j in range(i + 1, model.spec.dim):
             defect = rep.matrices[i] @ rep.matrices[j] - rep.matrices[j] @ rep.matrices[i]
             for k, c in enumerate(model.spec.bracket(i, j)):
                 if c != 0:
                     defect = defect - c * rep.matrices[k]
-            global_res = max(global_res, float(np.max(np.abs(defect))))
-            block_res = max(block_res, float(np.max(np.abs(defect[:b, :b]))))
+            global_res.append(np.max(np.abs(defect)))
+            block_res.append(np.max(np.abs(defect[:b, :b])))
+    block_res, global_res = _worst(block_res), _worst(global_res)
     metrics = {"commutator_block": block_res, "commutator_global": global_res}
     return ValidationReport(block_res <= tol, metrics, tol)
 
@@ -419,7 +433,8 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
       * the declared grading is triangular: with all coordinates of grade
         < g_a set to zero, phi_a(omega(z)) - z_a vanishes identically.
     """
-    report = validate_structure(model.spec, tol).merge(validate_representation(model, tol))
+    structure = validate_structure(model.spec, tol)
+    representation = validate_representation(model, tol)
     _, B, e0_row, phi, U = _chart(model)
     e0 = e0_row.conj()
 
@@ -429,25 +444,22 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
         independence = float(sv[-1]) if len(sv) == model.n else 0.0
     else:
         independence = math.inf
-    lowering_ok = min(norms, default=1.0) > 1e-8 and independence > 1e-8
+    lowering_ok = all(v > 1e-8 for v in norms) and independence > 1e-8  # False on NaN
 
-    raising = max((float(np.max(np.abs(b @ e0))) for b in B), default=0.0)
-    ortho = max((abs(np.vdot(e0, U[:, a])) for a in range(model.n)), default=0.0)
+    raising = _worst(np.max(np.abs(b @ e0)) for b in B)
+    ortho = _worst(abs(np.vdot(e0, U[:, a])) for a in range(model.n))
 
     # completeness: dT(X_i) e0 decomposes over {e0} and the lowering images
     span = np.column_stack([e0.reshape(-1, 1), U]) if model.n else e0.reshape(-1, 1)
     qbasis, _ = np.linalg.qr(span)
-    iso = 0.0
-    for m in model.rep.matrices:
-        v = m @ e0
-        resid = v - qbasis @ (qbasis.conj().T @ v)
-        iso = max(iso, float(np.linalg.norm(resid)))
+    off_span = lambda v: np.linalg.norm(v - qbasis @ (qbasis.conj().T @ v))
+    iso = _worst(off_span(m @ e0) for m in model.rep.matrices)
 
     # grading triangularity at deterministic pseudo-random coordinates; a
     # non-terminating series (chart direction not nilpotent) counts as an
     # infinite violation instead of escaping the report
     rng = np.random.default_rng(0)
-    tri = 0.0
+    tri = []
     for a in range(model.n):
         g = model.grading[a]
         for _ in range(3):
@@ -459,23 +471,23 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
             try:
                 row = covector_direct(model, z)
             except ModelValidationError:
-                tri = math.inf
+                tri.append(math.inf)
                 break
-            val = row @ phi[:, a]
-            tri = max(tri, abs(val - z[a]))
+            tri.append(abs(row @ phi[:, a] - z[a]))
+    tri = _worst(tri)
 
-    metrics = dict(report.metrics)
-    metrics.update(
-        {
-            "raising_annihilates_e0": raising,
-            "lowering_orthogonal_e0": ortho,
-            "isotropy_completeness": iso,
-            "grading_triangularity": tri,
-            "mprime_independence": 0.0 if lowering_ok else 1.0,
-        }
-    )
+    metrics = {
+        **structure.metrics,
+        **representation.metrics,
+        "raising_annihilates_e0": raising,
+        "lowering_orthogonal_e0": ortho,
+        "isotropy_completeness": iso,
+        "grading_triangularity": tri,
+        "mprime_independence": 0.0 if lowering_ok else 1.0,
+    }
     passed = (
-        report.passed
+        structure.passed
+        and representation.passed
         and lowering_ok
         and raising <= tol
         and ortho <= tol

@@ -311,7 +311,7 @@ def load_model(source: str | Path, validate: bool = True, tol: float = 1e-10, **
     if validate:
         report = validate_model(model, tol)
         if not report.passed:
-            bad = {k: v for k, v in report.metrics.items() if v > tol}
+            bad = {k: v for k, v in report.metrics.items() if not v <= tol}
             raise ModelValidationError(f"model {model.describe()} failed validation: {bad}")
     return model
 
@@ -424,7 +424,7 @@ def model_from_dict(data: dict) -> OrbitModel:
             parameters=dict(data.get("parameters", {})),
             adjoint_pairs={int(a): int(b) for a, b in pairs.items()} if pairs else None,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ModelStructureError(f"malformed model file: {exc}") from exc
 
 

@@ -1,8 +1,9 @@
-"""Command-line front end.
+"""Command-line front end: a thin shell that parses flags, calls the
+library and renders its reports.
 
 Subcommands: ``catalog`` (list built-in models), ``realize`` (print the
 realization table), ``kernel`` (print and optionally evaluate the
-reproducing kernel), ``check`` (run the validation suite).  Exit codes:
+reproducing kernel), ``check`` (run :func:`checks.run_checks`).  Exit codes:
 0 pass, 1 check failure, 2 usage or model error.
 
 Complex numbers on the command line are "re,im" pairs (a bare real is also
@@ -21,44 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import analysis, catalog, orbit, realize
-from .algebra import AlgebraElement, covector_direct, validate_model, validate_representation, validate_structure
-from .catalog import DEGREE_TARGETS, load_model, read_complex_matrix
-from .errors import CsorbitError, UnsupportedCheckError
+from . import catalog, orbit, realize
+from .algebra import AlgebraElement
+from .catalog import load_model, read_complex_matrix
+from .checks import CHECK_ORDER, run_checks
+from .errors import CsorbitError
 from .polyops import render_poly
-
-CHECK_ORDER = (
-    "structure",
-    "representation",
-    "model",
-    "intertwining",
-    "homomorphism",
-    "degree",
-    "flow",
-    "cocycle",
-    "roundtrip",
-    "parseval",
-    "reproducing",
-    "adjoint",
-)
-
-DEFAULT_TOLS = {
-    "structure": 1e-10,
-    "representation": 1e-10,
-    "model": 1e-10,
-    "intertwining": 1e-9,
-    "homomorphism": 1e-9,
-    "flow": 1e-5,
-    "cocycle": 1e-8,
-    "roundtrip": 1e-12,
-    "adjoint": 1e-7,
-}
-
-FLOW_POINTS = 20
-COCYCLE_PAIRS = 50
-ROUNDTRIP_DRAWS = 20
-REPRODUCING_DRAWS = 5
-RNG_SEED = 20240801
 
 
 @dataclass
@@ -300,190 +269,11 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
     return 0, report
 
 
-# -- check implementations ---------------------------------------------------
-
-
-def _random_point(rng, model, radius):
-    return radius * (rng.uniform(-1, 1, model.n) + 1j * rng.uniform(-1, 1, model.n))
-
-
-def _random_group_element(rng, model, scale=0.15):
-    # near identity in the representation: normalize by the matrix scale
-    norm = max(1.0, max(float(np.max(np.abs(m))) for m in model.rep.matrices))
-    coeffs = (scale / norm) * (
-        rng.standard_normal(model.spec.dim) + 1j * rng.standard_normal(model.spec.dim)
-    )
-    return orbit.group_element(model, AlgebraElement(coeffs))
-
-
-def _run_checks(model, names, args) -> list[dict]:
-    rng = np.random.default_rng(RNG_SEED)
-    tol_of = lambda name: args.tol if args.tol is not None else DEFAULT_TOLS.get(name)
-    radial, angular = _parse_quad(args.quad)
-    fixed_pair = _cocycle_pair(model, args)
-    solver_tol = realize.SOLVER_TOL  # --tol overrides check tolerances, not realization acceptance
-
-    table = None
-    table_error = None
-    if any(n in names for n in ("intertwining", "homomorphism", "degree", "flow", "adjoint")):
-        table = realize.realize_all(model, tol=solver_tol, degree_cap=args.degree_cap)
-        if table.partial:
-            table_error = "; ".join(
-                f"{model.spec.basis_labels[i]}: {msg}" for i, msg in table.failures.items()
-            )
-    # flow and adjoint read a complete table's operators; otherwise they realize their own
-    complete = None if table_error is not None else table
-
-    rule = None
-    rule_error = None
-    if any(n in names for n in ("parseval", "reproducing", "adjoint")):
-        try:
-            rule = analysis.quadrature_rule(model, radial, angular)
-        except UnsupportedCheckError as exc:
-            rule_error = str(exc)
-
-    results = []
-
-    def record(name, residual, tolerance, status, note=None):
-        entry = {
-            "check": name,
-            "model": model.name,
-            "params": model.parameters,
-            "residual": residual,
-            "tolerance": tolerance,
-            "pass": status == "pass",
-            "status": status,
-        }
-        if note:
-            entry["note"] = note
-        results.append(entry)
-
-    def simple(name, residual, tolerance):
-        if not math.isfinite(residual):  # JSON has no NaN or infinity
-            record(name, None, tolerance, "fail", note=f"residual is {residual}")
-        else:
-            record(name, residual, tolerance, "pass" if residual <= tolerance else "fail")
-
-    def run_one(name, tol):
-        if name == "structure":
-            rep = validate_structure(model.spec, tol)
-            simple(name, max(rep.metrics.values()), tol)
-        elif name == "representation":
-            rep = validate_representation(model, tol)
-            simple(name, rep.metrics["commutator_block"], tol)
-        elif name == "model":
-            rep = validate_model(model, tol)
-            residual = max(
-                rep.metrics[k]
-                for k in (
-                    "raising_annihilates_e0",
-                    "lowering_orthogonal_e0",
-                    "isotropy_completeness",
-                    "grading_triangularity",
-                )
-            )
-            record(name, residual, tol, "pass" if rep.passed else "fail")
-        elif name in ("intertwining", "homomorphism", "degree"):
-            if table_error is not None:
-                record(name, None, tol, "fail", note=f"partial table: {table_error}")
-                return
-            if name == "intertwining":
-                simple(name, realize.intertwining_residual(model, table), tol)
-            elif name == "homomorphism":
-                simple(name, realize.homomorphism_residual(model, table), tol)
-            else:
-                target = DEGREE_TARGETS.get(model.name)
-                observed = realize.degree_report(table).max_degree
-                if target is None:
-                    record(name, float(observed), None, "skip", note="no degree target declared")
-                else:
-                    op, bound = target
-                    ok = observed <= bound if op == "le" else observed == bound
-                    record(
-                        name,
-                        float(observed),
-                        float(bound),
-                        "pass" if ok else "fail",
-                        note=f"target {op} {bound}",
-                    )
-        elif name == "flow":
-            residuals = []
-            for idx in range(model.spec.dim):
-                x = AlgebraElement.basis(model.spec.dim, idx)
-                points = [_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)]
-                residuals.append(realize.flow_crosscheck(model, x, points, degree_cap=args.degree_cap, table=complete))
-            simple(name, float(np.max(residuals)), tol)
-        elif name == "cocycle":
-            residuals = []
-            for _ in range(COCYCLE_PAIRS if fixed_pair is None else 5):
-                g1, g2 = fixed_pair or (_random_group_element(rng, model), _random_group_element(rng, model))
-                residuals.append(realize.cocycle_residual(model, g1, g2, _random_point(rng, model, 0.3)))
-            simple(name, float(np.max(residuals)), tol)
-        elif name == "roundtrip":
-            residuals = []
-            # the reference covector comes from the chart matrices, not from
-            # the symbolic series that extract_coordinates solves against
-            for _ in range(ROUNDTRIP_DRAWS):
-                z0 = _random_point(rng, model, 0.5)
-                mu0 = (0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-                v = mu0 * covector_direct(model, z0)
-                mu, z = orbit.extract_coordinates(model, v)
-                residuals += [abs(mu - mu0) / (1 + abs(mu0)), *np.abs(z - z0)]
-            simple(name, float(np.max(residuals)), tol)
-        elif name in ("parseval", "reproducing", "adjoint"):
-            if rule_error is not None:
-                record(name, None, tol, "skip", note=rule_error)
-                return
-            tier = 1e-6 if model.rep.truncated else 1e-8
-            if name == "parseval":
-                tol = args.tol if args.tol is not None else tier
-                simple(name, analysis.parseval_residual(model, rule), tol)
-            elif name == "reproducing":
-                tol = args.tol if args.tol is not None else tier
-                block = model.rep.block_dim
-                psis = np.zeros((REPRODUCING_DRAWS, model.dim_rep), dtype=complex)
-                points = []
-                for psi in psis:
-                    psi[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
-                    points.append(_random_point(rng, model, 0.4))
-                simple(name, analysis.reproducing_residual(model, rule, psis, points), tol)
-            else:
-                if model.adjoint_pairs is None:
-                    record(name, None, tol, "skip", note="no adjoint pairs declared")
-                    return
-                residuals = []
-                block = model.rep.block_dim
-                for idx in sorted(model.adjoint_pairs):
-                    f = np.zeros(model.dim_rep, dtype=complex)
-                    g = np.zeros(model.dim_rep, dtype=complex)
-                    f[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
-                    g[:block] = rng.standard_normal(block) + 1j * rng.standard_normal(block)
-                    x = AlgebraElement.basis(model.spec.dim, idx)
-                    residuals.append(analysis.adjoint_residual(model, rule, x, f, g, table=complete))
-                simple(name, float(np.max(residuals)), tol)
-
-    for name in names:
-        tol = tol_of(name)
-        try:
-            run_one(name, tol)
-        except UnsupportedCheckError as exc:
-            record(name, None, tol, "skip", note=str(exc))
-        except CsorbitError as exc:
-            record(name, None, tol, "fail", note=str(exc))
-    return results
-
-
 def cmd_check(args) -> tuple[int, RunReport]:
     model = _load(args)
-    if args.suite:
-        names = [s.strip() for s in args.suite.split(",") if s.strip()]
-        unknown = [s for s in names if s not in CHECK_ORDER]
-        if unknown:
-            raise CsorbitError(f"unknown check(s): {', '.join(unknown)}")
-        names = [n for n in CHECK_ORDER if n in names]
-    else:
-        names = list(CHECK_ORDER)
-    results = _run_checks(model, names, args)
+    names = [s.strip() for s in args.suite.split(",") if s.strip()] if args.suite else CHECK_ORDER
+    quad = _parse_quad(args.quad)
+    results = run_checks(model, names, args.tol, quad, args.degree_cap, _cocycle_pair(model, args))
     failed = [r for r in results if r["status"] == "fail"]
     status = "fail" if failed else "pass"
     report = RunReport(model=model.name, params=model.parameters, checks=results, status=status)

@@ -78,62 +78,25 @@ class KernelPoly:
     n: int
 
 
-def _apply_matrix(M: np.ndarray, vec: list[MultiPoly], n: int) -> list[MultiPoly]:
-    d = len(vec)
-    out = []
-    for kk in range(d):
-        col = MultiPoly.zero(n)
-        for ii in range(d):
-            if M[kk, ii] != 0 and not vec[ii].is_zero():
-                col = col + M[kk, ii] * vec[ii]
-        out.append(col)
-    return out
-
-
-def _exp_factor(model: OrbitModel, M: np.ndarray, var: int, vec: list[MultiPoly]) -> list[MultiPoly]:
-    """exp(z_var M) applied to a symbolic vector, as a terminating series."""
+def _exp_series(model: OrbitModel, factors, vec: list[MultiPoly]) -> list[MultiPoly]:
+    """exp(sum of z_a M_a over the (a, M_a) pairs in ``factors``) applied to
+    a symbolic vector, as a series that terminates because each M_a strictly
+    shifts the weight level."""
     n = model.n
     d = model.dim_rep
-    za = MultiPoly.variable(n, var)
     entries = list(vec)
     term = list(vec)
     for order in range(1, d + 2):
-        term = [(1.0 / order) * (za * t) for t in _apply_matrix(M, term, n)]
-        if all(t.is_zero() for t in term):
-            break
-        if order > d:
-            raise ModelValidationError(
-                "coherent series does not terminate within the representation dimension"
-            )
-        entries = [e + t for e, t in zip(entries, term)]
-    return entries
-
-
-def _series(model: OrbitModel, mats: Sequence[np.ndarray], start: np.ndarray) -> tuple[MultiPoly, ...]:
-    """Symbolic chart series applied to a start vector: the single
-    exponential of sum_a z_a M_a for the sum chart, the ordered product
-    exp(z_1 M_1) ... exp(z_n M_n) (rightmost factor first) for the product
-    chart.  Terminates because each M_a strictly shifts the weight level.
-    """
-    n = model.n
-    d = model.dim_rep
-    entries = [
-        MultiPoly.constant(n, start[k]) if start[k] != 0 else MultiPoly.zero(n)
-        for k in range(d)
-    ]
-    if model.chart == "product":
-        for a in range(n - 1, -1, -1):
-            entries = _exp_factor(model, mats[a], a, entries)
-        return tuple(entries)
-    term = list(entries)
-    for order in range(1, d + 2):
-        nxt = [MultiPoly.zero(n) for _ in range(d)]
-        for a in range(n):
+        nxt = [MultiPoly.zero(n)] * d
+        for a, M in factors:
             za = MultiPoly.variable(n, a)
-            applied = _apply_matrix(mats[a], term, n)
             for kk in range(d):
-                if not applied[kk].is_zero():
-                    nxt[kk] = nxt[kk] + (1.0 / order) * (za * applied[kk])
+                t = MultiPoly.zero(n)  # entry kk of M @ term
+                for ii in np.flatnonzero(M[kk]):
+                    if not term[ii].is_zero():
+                        t = t + M[kk, ii] * term[ii]
+                if not t.is_zero():
+                    nxt[kk] = nxt[kk] + (1.0 / order) * (za * t)
         term = nxt
         if all(t.is_zero() for t in term):
             break
@@ -142,7 +105,7 @@ def _series(model: OrbitModel, mats: Sequence[np.ndarray], start: np.ndarray) ->
                 "coherent series does not terminate within the representation dimension"
             )
         entries = [e + t for e, t in zip(entries, term)]
-    return tuple(entries)
+    return entries
 
 
 # -- chart functionals -------------------------------------------------------
@@ -182,15 +145,28 @@ class DerivedData:
         lowering_images = np.column_stack([a[:, model.e0_index] for a in A]) if A else np.zeros((d, 0))
         return tuple(A), tuple(B), e0_row, dual[:, 1:], lowering_images
 
+    def _series(self, mats: Sequence[np.ndarray]) -> tuple[MultiPoly, ...]:
+        """The chart series applied to e0: the single exponential of
+        sum_a z_a M_a for the sum chart, the ordered product
+        exp(z_1 M_1) ... exp(z_n M_n) (rightmost factor first) for the
+        product chart."""
+        model = self.model
+        n = model.n
+        vec = [MultiPoly.zero(n)] * model.dim_rep
+        vec[model.e0_index] = MultiPoly.constant(n, 1.0)
+        if model.chart == "sum":
+            return tuple(_exp_series(model, list(enumerate(mats)), vec))
+        for a in range(n - 1, -1, -1):
+            vec = _exp_series(model, [(a, mats[a])], vec)
+        return tuple(vec)
+
     @cached_property
     def vector(self) -> PolyVector:
-        A, _, e0_row, _, _ = self.chart
-        return PolyVector(_series(self.model, A, e0_row))
+        return PolyVector(self._series(self.chart[0]))
 
     @cached_property
     def covector(self) -> PolyCovector:
-        _, B, e0_row, _, _ = self.chart
-        return PolyCovector(_series(self.model, [b.T for b in B], e0_row))  # row @ B == B.T @ column
+        return PolyCovector(self._series([b.T for b in self.chart[1]]))  # row @ B == B.T @ column
 
     @cached_property
     def kernel(self) -> KernelPoly:

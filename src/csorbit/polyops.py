@@ -32,7 +32,7 @@ class MultiPoly:
             if any(e < 0 for e in expo):
                 raise ValueError(f"negative exponent in {expo}")
             acc[expo] = acc.get(expo, 0j) + complex(coeff)
-        self.terms = {e: c for e, c in acc.items() if abs(c) >= PRUNE_TOL}
+        self.terms = {e: c for e, c in acc.items() if not abs(c) < PRUNE_TOL}  # keeps NaN
 
     # -- constructors ------------------------------------------------------
 

@@ -215,8 +215,6 @@ def flow_crosscheck(
     x: AlgebraElement,
     z0: Sequence[complex] | np.ndarray,
     h: float = FLOW_STEP,
-    tol: float = SOLVER_TOL,
-    degree_cap: int = DEGREE_CAP,
     table: RealizationTable | None = None,
 ) -> float:
     """Consistency of the realized operator with the one-parameter flow.
@@ -228,13 +226,15 @@ def flow_crosscheck(
     estimated by Richardson extrapolation of central differences with steps
     h and h/2, (4 D(h/2) - D(h)) / 3, and compared with the realized
     polynomials.  ``z0`` is one point (length n) or a stack of points
-    (N, n); the realization and the four ``expm`` calls are done once for
-    all of them, or a complete ``table`` of the model supplies the operator.
-    Returns the max deviation over the points.
+    (N, n); the operator and the four ``expm`` calls serve all of them.
+    The operator is read from ``table`` when given (a partial table raises
+    :class:`PartialTableError`), otherwise realized by
+    :func:`realize_generator` at its defaults.  Returns the max deviation
+    over the points.
     """
     points = np.atleast_2d(np.asarray(z0, dtype=complex))
     X = derived_matrix(model, x)
-    op = realize_generator(model, x, tol, degree_cap) if table is None else table.operator(x)
+    op = realize_generator(model, x) if table is None else table.operator(x)
     realized = DenseTable([op.P, *op.Q]).eval(points)
     flows = [(s, scipy.linalg.expm(s * X), scipy.linalg.expm(-s * X)) for s in (h, h / 2)]
 

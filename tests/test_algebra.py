@@ -55,6 +55,25 @@ def test_malformed_indices_are_structural_errors():
         LieAlgebraSpec(2, ("a",), ())
 
 
+def test_non_finite_input_is_a_structural_error():
+    with pytest.raises(ModelStructureError, match="non-finite constant"):
+        LieAlgebraSpec(3, ("a", "b", "c"), ((0, 1, 2, math.nan),))
+    with pytest.raises(ModelStructureError, match="must be finite"):
+        MatrixRep(2, (np.array([[0, math.inf], [0, 0]]),))
+    with pytest.raises(ModelStructureError, match="must be finite"):
+        AlgebraElement([1.0, complex(0, math.nan)])
+
+
+def test_validation_propagates_nan():
+    # a NaN set after construction reaches the Jacobi sum, which Python's
+    # max(0.0, nan) would drop
+    spec = LieAlgebraSpec(3, ("a", "b", "c"), ((0, 1, 2, 1.0),))
+    spec.structure = ((0, 1, 2, complex(math.nan)),)
+    report = validate_structure(spec)
+    assert math.isnan(report.metrics["jacobi"])
+    assert not report.passed
+
+
 def test_bracket_derives_reverse_orientation():
     spec = su2_spec()
     fwd = spec.bracket(1, 2)

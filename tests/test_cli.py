@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import subprocess
@@ -287,8 +288,21 @@ def _input_files(tmp_path) -> dict:
     data["structure"][0][3] = math.nan
     nan_structure = tmp_path / "nan-structure.json"
     nan_structure.write_text(json.dumps(data))
-    return {"dir": tmp_path, "nan_matrix": nan_matrix, "identity": identity, "latin1": latin1, "flat": flat,
-            "nan_structure": nan_structure}
+    files = {"dir": tmp_path, "nan_matrix": nan_matrix, "identity": identity, "latin1": latin1, "flat": flat,
+             "nan_structure": nan_structure}
+    # model-file fields of the wrong JSON type
+    for name, key, value in [
+        ("measure_list", "measure", [1]),
+        ("domain_number", "measure", {"kind": "gaussian", "domain": 5}),
+        ("domain_type_list", "measure", {"kind": "gaussian", "domain": [1]}),
+        ("adjoint_pairs_bool", "adjoint_pairs", True),
+        ("measure_param_null", "measure", {"kind": "fubini-study", "params": {"j": None}}),
+    ]:
+        data = model_to_dict(load_model("su2", j=1))
+        data[key] = value
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(data))
+    return files
 
 
 @pytest.mark.parametrize(
@@ -307,6 +321,11 @@ def _input_files(tmp_path) -> dict:
         pytest.param(["realize", "--model-file", "{latin1}"], id="model-file-not-utf8"),
         pytest.param(["check", "--model-file", "{nan_structure}", "--suite", "structure"], id="model-file-nan-structure-constant"),
         pytest.param(["check", "--model", "su2", "--suite", "cocycle", "--g1-file", "{flat}", "--g2-file", "{identity}"], id="g1-file-flat-list"),
+        pytest.param(["check", "--model-file", "{measure_list}"], id="model-file-measure-list"),
+        pytest.param(["check", "--model-file", "{domain_number}"], id="model-file-domain-number"),
+        pytest.param(["check", "--model-file", "{domain_type_list}"], id="model-file-domain-list"),
+        pytest.param(["check", "--model-file", "{adjoint_pairs_bool}"], id="model-file-adjoint-pairs-bool"),
+        pytest.param(["check", "--model-file", "{measure_param_null}"], id="model-file-measure-param-null"),
     ],
 )
 def test_malformed_input_exits_2(argv, tmp_path, capsys):
@@ -332,3 +351,82 @@ def test_nan_residual_fails_its_check(monkeypatch, capsys):
     assert code == 1
     assert report.checks[0]["status"] == "fail" and report.checks[0]["residual"] is None
     assert json.loads(out)["checks"][0]["note"] == "residual is nan"
+
+
+def test_model_with_nan_covector_exits_2(tmp_path, capsys):
+    # a finite chart coefficient whose powers overflow: the covector series
+    # is NaN, and validation must say so instead of reporting 0.0
+    data = model_to_dict(load_model("su2", j=1))
+    data["mprime"][0][2] = [0.0, 1e308]
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(data))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, report = run(["check", "--model-file", str(path), "--suite", "structure,representation,model"])
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "failed validation" in err and "'grading_triangularity': nan" in err
+
+
+def test_degree_cap_fails_every_table_check(capsys):
+    code, _, report = invoke(
+        ["check", "--model", "su2", "--j", "1", "--degree-cap", "1", "--suite", "flow,adjoint"], capsys
+    )
+    assert code == 1
+    assert [(c["check"], c["status"], c["note"]) for c in report.checks] == [
+        (name, "fail", "partial table: J-: degree 2 > degree cap 1") for name in ("flow", "adjoint")
+    ]
+
+
+def _paths(obj, prefix=()):
+    """Every key path into a nested JSON document, the root excluded."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, val in items:
+        yield prefix + (key,)
+        yield from _paths(val, prefix + (key,))
+
+
+DELETE = object()
+
+
+def _mutated(base, mutations):
+    """A copy of ``base`` with each (key path, value) applied in turn; the
+    value ``DELETE`` removes the entry, and a path that an earlier mutation
+    removed or turned into a scalar is passed over."""
+    data = copy.deepcopy(base)
+    for keys, value in mutations:
+        holder = data
+        try:
+            for key in keys[:-1]:
+                holder = holder[key]
+            holder[keys[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue
+        if not isinstance(holder, (dict, list)):
+            continue
+        if value is DELETE:
+            del holder[keys[-1]]
+        else:
+            holder[keys[-1]] = value
+    return data
+
+
+def test_mutated_model_files_never_raise(tmp_path_factory):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    base = model_to_dict(load_model("su2", j=1))
+    # small magnitudes only: overflow warnings are errors in this suite
+    values = st.one_of(
+        st.just(DELETE), st.none(), st.booleans(), st.integers(-3, 5), st.floats(-4, 4),
+        st.text(max_size=3), st.lists(st.integers(-2, 3), max_size=3),
+        st.dictionaries(st.sampled_from(["0", "1", "type", "kind"]), st.integers(-1, 2), max_size=2),
+    )
+    path = tmp_path_factory.mktemp("fuzz") / "model.json"
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.tuples(st.sampled_from(list(_paths(base))), values), min_size=1, max_size=3))
+    def check(mutations):
+        path.write_text(json.dumps(_mutated(base, mutations)))
+        code, _ = run(["check", "--model-file", str(path), "--json"])
+        assert code in (0, 1, 2)
+
+    check()

@@ -34,6 +34,12 @@ def test_construction_prunes_tiny_coefficients():
     assert p.terms[(0, 1)] == 1.0
 
 
+def test_construction_keeps_nan_coefficients():
+    p = MultiPoly(1, {(1,): float("nan"), (2,): 1e-15})
+    assert list(p.terms) == [(1,)]
+    assert np.isnan(p.terms[(1,)])
+
+
 def test_construction_accumulates_duplicate_cancellation():
     p = MultiPoly(1, {(2,): 1.0}) - MultiPoly(1, {(2,): 1.0})
     assert p.is_zero()
