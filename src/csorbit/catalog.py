@@ -17,11 +17,11 @@ su11(k, trunc, margin)
 su3(p, q)
     Cartan-Weyl basis (h1, h2, e1, e2, e3, f1, f2, f3) acting on the
     irreducible highest-weight module with labels (p, q), p, q >= 1,
-    dimension (p+1)(q+1)(p+q+2)/2.  Built by closing the tensor product
-    3^(x p) x 3bar^(x q) under the lowering operators from its top weight
-    vector and projecting onto the resulting orthonormal basis.  Chart
-    directions (f1, f2, f3) with grading (1, 1, 2).  No measure: quadrature
-    checks are unavailable for this entry.
+    dimension (p+1)(q+1)(p+q+2)/2.  Built by closing Sym^p(C^3) x
+    Sym^q(C^3*), of dimension C(p+2, 2) C(q+2, 2), under the lowering
+    operators from its top weight vector and projecting onto the resulting
+    orthonormal basis.  Chart directions (f1, f2, f3) with grading (1, 1, 2).
+    No measure: quadrature checks are unavailable for this entry.
 """
 
 from __future__ import annotations
@@ -184,39 +184,64 @@ def _su3_defining_matrices() -> list[np.ndarray]:
     return [h1, h2, unit(0, 1), unit(1, 2), unit(0, 2), unit(1, 0), unit(2, 1), unit(2, 0)]
 
 
+def _sym_power(m: np.ndarray, p: int) -> np.ndarray:
+    """The action of the 3 x 3 matrix ``m`` on Sym^p(C^3), on the orthonormal
+    basis u_a = x^a / sqrt(a!) over the exponents a with |a| = p, u_(p,0,0)
+    first and u_(0,0,p) last.  The unit matrix E_ij acts as x_i d/dx_j: it
+    maps u_a to sqrt(a_j (a_i + 1)) u_(a - e_j + e_i) when i != j, and to
+    a_i u_a when i == j."""
+    alphas = [(a, b, p - a - b) for a in range(p, -1, -1) for b in range(p - a, -1, -1)]
+    index = {a: k for k, a in enumerate(alphas)}
+    out = np.zeros((len(alphas), len(alphas)), dtype=complex)
+    for k, a in enumerate(alphas):
+        for i, j in zip(*np.nonzero(m)):
+            if i == j:
+                out[k, k] += m[i, i] * a[i]
+            elif a[j]:
+                b = list(a)
+                b[j] -= 1
+                b[i] += 1
+                out[index[tuple(b)], k] += m[i, j] * math.sqrt(a[j] * (a[i] + 1))
+    return out
+
+
 def _build_su3(p: int = 1, q: int = 1) -> OrbitModel:
+    """The (p, q) module, generated from its top weight vector
+    u_(p,0,0) x u_(0,0,q) inside Sym^p(C^3) x Sym^q(C^3*) (dimension 100 at
+    (3, 3), where the tensor power 3^(x p) x 3bar^(x q) has 729).  Symmetric
+    tensors sit isometrically and equivariantly in the tensor power, so the
+    closure and Gram-Schmidt below give the same basis and matrices up to
+    rounding.  The dual factor carries the matrices -m.T.  A generator acts
+    on the product as A x 1 + 1 x B, applied factor by factor to the
+    (sp, sq) reshape of a vector without forming the Kronecker sum, so no
+    array is larger than sp*sq x dim: 225 x 125 at (4, 4)."""
     p = int(p)
     q = int(q)
     if p < 1 or q < 1:
         raise ModelStructureError("su3: catalog entry needs p >= 1 and q >= 1")
-    base = _su3_defining_matrices()
-    dual = [-m.T for m in base]
-    factors = [base] * p + [dual] * q
-    nf = len(factors)
-    big = []
-    for g in range(8):
-        total = np.zeros((3**nf, 3**nf), dtype=complex)
-        for slot in range(nf):
-            term = np.ones((1, 1), dtype=complex)
-            for l, fac in enumerate(factors):
-                term = np.kron(term, fac[g] if l == slot else np.eye(3))
-            total += term
-        big.append(total)
+    gens = _su3_defining_matrices()
+    fund = [_sym_power(m, p) for m in gens]
+    dual = [_sym_power(-m.T, q) for m in gens]
+    sp, sq = len(fund[0]), len(dual[0])
 
-    # top weight vector: fundamental factors at basis index 0, dual at 2
-    idx = 0
-    for l in range(nf):
-        idx = idx * 3 + (0 if l < p else 2)
-    v0 = np.zeros(3**nf, dtype=complex)
-    v0[idx] = 1.0
+    def act(g: int, x: np.ndarray) -> np.ndarray:
+        """Generator g on each column of x, shape (sp*sq, k)."""
+        v = x.reshape(sp, sq, -1)
+        out = (fund[g] @ v.reshape(sp, -1)).reshape(v.shape) + dual[g] @ v
+        return out.reshape(x.shape)
+
+    # top weight vector: u_(p,0,0), the first fundamental basis vector, times
+    # u_(0,0,q), the last dual one
+    v0 = np.zeros(sp * sq, dtype=complex)
+    v0[sq - 1] = 1.0
 
     # close under the lowering operators f1, f2 and orthonormalize
     basis = [v0]
     queue = [v0]
     while queue:
         v = queue.pop(0)
-        for f in (big[5], big[6]):
-            w = f @ v
+        for f in (5, 6):
+            w = act(f, v[:, None])[:, 0]
             Q = np.column_stack(basis)
             w = w - Q @ (Q.conj().T @ w)
             w = w - Q @ (Q.conj().T @ w)
@@ -231,15 +256,15 @@ def _build_su3(p: int = 1, q: int = 1) -> OrbitModel:
             f"su3({p},{q}): module closure produced {len(basis)} states, expected {expected}"
         )
     Q = np.column_stack(basis)
-    wt1 = np.real(np.diag(Q.conj().T @ big[0] @ Q))
-    wt2 = np.real(np.diag(Q.conj().T @ big[1] @ Q))
+    wt1 = np.real(np.diag(Q.conj().T @ act(0, Q)))
+    wt2 = np.real(np.diag(Q.conj().T @ act(1, Q)))
     level = np.rint((p - wt1) + (q - wt2)).astype(int)
     order = sorted(
         range(len(basis)),
         key=lambda i: (level[i], -int(round(wt1[i])), -int(round(wt2[i])), i),
     )
     Q = Q[:, order]
-    mats = tuple(Q.conj().T @ g @ Q for g in big)
+    mats = tuple(Q.conj().T @ act(g, Q) for g in range(8))
 
     spec = LieAlgebraSpec(
         8, ("h1", "h2", "e1", "e2", "e3", "f1", "f2", "f3"), _SU3_STRUCTURE

@@ -14,6 +14,9 @@ import numpy as np
 
 PRUNE_TOL = 1e-14
 
+# Target size in bytes of each temporary in a stacked DenseTable.eval.
+_BLOCK_BYTES = 64 * 1024
+
 
 class MultiPoly:
     """Sparse polynomial in ``nvars`` complex variables."""
@@ -156,9 +159,16 @@ class DenseTable:
     entry, ``coeffs`` the (d, M) complex matrix.  Evaluating at a point is
     one gather from a table of coordinate powers and one matrix-vector
     product, instead of a sparse loop per entry.
+
+    A stack of points is evaluated in blocks of rows into one (N, d)
+    output, sized so that each temporary (power table, gathered monomials,
+    product) is at most about ``_BLOCK_BYTES`` however many points there
+    are.  Temporaries that small are reused from the heap; one per stack
+    would be megabytes at the quadrature checks' 4,096 nodes, a fresh
+    mapping whose pages fault in again on every call.
     """
 
-    __slots__ = ("nvars", "exponents", "coeffs", "_powers")
+    __slots__ = ("nvars", "exponents", "coeffs", "_block_rows", "_powers")
 
     def __init__(self, polys: Sequence[MultiPoly]):
         self.nvars = polys[0].nvars
@@ -171,6 +181,9 @@ class DenseTable:
                 self.coeffs[k, column[e]] = c
         top = int(self.exponents.max()) if self.exponents.size else 0
         self._powers = np.arange(top + 1)
+        # complex entries per point of the largest temporary
+        row_items = max(self.nvars * (top + 1), self.exponents.size, len(polys))
+        self._block_rows = max(1, _BLOCK_BYTES // (16 * row_items))
 
     def eval(self, points: Sequence[complex] | np.ndarray) -> np.ndarray:
         """All entries at one point, (nvars,) -> (d,), or at each of a stack
@@ -179,6 +192,15 @@ class DenseTable:
         z = np.asarray(points, dtype=complex)
         if z.ndim not in (1, 2) or z.shape[-1] != self.nvars:
             raise ValueError(f"points of shape {z.shape} do not have nvars={self.nvars} coordinates")
+        if z.ndim == 1:
+            return self._eval(z)
+        out = np.empty((len(z), len(self.coeffs)), dtype=complex)
+        for start in range(0, len(z), self._block_rows):
+            stop = start + self._block_rows
+            out[start:stop] = self._eval(z[start:stop])
+        return out
+
+    def _eval(self, z: np.ndarray) -> np.ndarray:
         powers = z[..., None] ** self._powers  # powers[..., i, e] = z_i^e
         # gathered contiguously and contracted point by point, so that a
         # stack is multiplied and summed in the same order as one point

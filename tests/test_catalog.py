@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ from csorbit import (
     model_from_dict,
     model_to_dict,
     read_complex_matrix,
+    run_checks,
 )
+from csorbit.catalog import _build_su3, _su3_defining_matrices
 
 
 def test_catalog_names():
@@ -53,6 +56,71 @@ def test_su3_dimensions():
     assert m.dim_rep == 15
     assert m.grading == (1, 1, 2)
     assert m.chart == "product"
+
+
+def _su3_tensor_reference(p, q):
+    """su3(p, q) in the full tensor power 3^(x p) x 3bar^(x q), closed and
+    projected as the catalog does.  Needs 3^(2(p+q)) complex entries per
+    generator: keep p + q <= 6."""
+    gens = _su3_defining_matrices()
+    factors = [gens] * p + [[-m.T for m in gens]] * q
+    big = []
+    for g in range(8):
+        total = 0
+        for slot in range(p + q):
+            term = np.ones((1, 1))
+            for l, fac in enumerate(factors):
+                term = np.kron(term, fac[g] if l == slot else np.eye(3))
+            total = total + term
+        big.append(total)
+    v0 = np.zeros(3 ** (p + q), dtype=complex)
+    v0[int("0" * p + "2" * q, 3)] = 1.0  # fundamental factors at e0, dual at e2
+    basis, queue = [v0], [v0]
+    while queue:
+        v = queue.pop(0)
+        for f in (big[5], big[6]):
+            Q = np.column_stack(basis)
+            w = f @ v
+            w = w - Q @ (Q.conj().T @ w)
+            w = w - Q @ (Q.conj().T @ w)
+            if np.linalg.norm(w) > 1e-10:
+                basis.append(w / np.linalg.norm(w))
+                queue.append(basis[-1])
+    Q = np.column_stack(basis)
+    wt1, wt2 = (np.real(np.diag(Q.conj().T @ big[h] @ Q)) for h in (0, 1))
+    level = np.rint((p - wt1) + (q - wt2)).astype(int)
+    order = sorted(range(len(basis)), key=lambda i: (level[i], -round(wt1[i]), -round(wt2[i]), i))
+    Q = Q[:, order]
+    return [Q.conj().T @ g @ Q for g in big]
+
+
+@pytest.mark.parametrize("p,q", [(1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 1)])
+def test_su3_matches_tensor_power_reference(p, q):
+    model = _build_su3(p, q)
+    want = _su3_tensor_reference(p, q)
+    assert model.dim_rep == len(want[0]) == (p + 1) * (q + 1) * (p + q + 2) // 2
+    for got, ref in zip(model.rep.matrices, want):
+        assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+def test_su3_build_memory_is_small():
+    tracemalloc.start()
+    try:
+        _build_su3(3, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20  # the 3^6 tensor power took 82 MiB
+
+
+def test_su3_44_passes_checks():
+    model = load_model("su3", p=4, q=4)
+    assert model.dim_rep == 125
+    records = {r["check"]: r for r in run_checks(model)}
+    assert all(records[c]["status"] == "skip" for c in ("parseval", "reproducing", "adjoint"))
+    rest = [r for c, r in records.items() if c not in ("parseval", "reproducing", "adjoint")]
+    assert len(rest) == 9 and all(r["status"] == "pass" for r in rest)
+    assert records["degree"]["residual"] == 3.0
 
 
 def test_su3_unitarity(su3_11):

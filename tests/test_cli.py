@@ -231,6 +231,14 @@ def test_console_entry_point_subprocess():
     assert "J- : P = 2 z1, Q1 = -z1^2" in proc.stdout
 
 
+def test_package_runs_as_module():
+    run_module = lambda *argv: subprocess.run([sys.executable, "-m", "csorbit", *argv], capture_output=True, text=True)
+    proc = run_module("realize", "--model", "su2", "--j", "1")
+    assert proc.returncode == 0
+    assert "J- : P = 2 z1, Q1 = -z1^2" in proc.stdout
+    assert run_module("check", "--model", "so5").returncode == 2
+
+
 def test_group_element_file_of_wrong_size_is_usage_error(tmp_path, capsys):
     path = tmp_path / "g.json"
     path.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]))
