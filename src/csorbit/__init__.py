@@ -48,9 +48,6 @@ from .errors import (
     UnsupportedCheckError,
 )
 from .orbit import (
-    KernelPoly,
-    PolyCovector,
-    PolyVector,
     coherent_covector,
     coherent_vector,
     extract_coordinates,

@@ -260,12 +260,21 @@ class OrbitModel:
 
 @dataclass
 class ValidationReport:
-    """Outcome of a validation pass: named residual metrics against one
-    tolerance.  ``passed`` is the conjunction over all metrics."""
+    """Outcome of a validation pass: named residual metrics and the bound
+    each pass criterion puts on its metric.  A metric without a bound is
+    reported only."""
 
-    passed: bool
     metrics: dict[str, float]
-    tol: float
+    bounds: dict[str, float]
+
+    @property
+    def failures(self) -> dict[str, float]:
+        """The metrics above their bounds, NaN included."""
+        return {k: v for k, v in self.metrics.items() if k in self.bounds and not v <= self.bounds[k]}
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
 
 def derived_matrix(model: OrbitModel, x: AlgebraElement) -> np.ndarray:
@@ -330,9 +339,8 @@ def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> Vali
                 )
                 jac.append(np.max(np.abs(total)))
 
-    anti, jac = _worst(anti), _worst(jac)
-    metrics = {"antisymmetry": anti, "jacobi": jac}
-    return ValidationReport(anti <= tol and jac <= tol, metrics, tol)
+    metrics = {"antisymmetry": _worst(anti), "jacobi": _worst(jac)}
+    return ValidationReport(metrics, {"antisymmetry": tol, "jacobi": tol})
 
 
 def validate_representation(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationReport:
@@ -353,14 +361,8 @@ def validate_representation(model: OrbitModel, tol: float = STRUCTURE_TOL) -> Va
                     defect = defect - c * rep.matrices[k]
             global_res.append(np.max(np.abs(defect)))
             block_res.append(np.max(np.abs(defect[:b, :b])))
-    block_res, global_res = _worst(block_res), _worst(global_res)
-    metrics = {"commutator_block": block_res, "commutator_global": global_res}
-    return ValidationReport(block_res <= tol, metrics, tol)
-
-
-def _chart(model: OrbitModel):
-    """(A, B, e0_row, phi, lowering_images); see ``orbit.DerivedData.chart``."""
-    return model.derived.chart
+    metrics = {"commutator_block": _worst(block_res), "commutator_global": _worst(global_res)}
+    return ValidationReport(metrics, {"commutator_block": tol})
 
 
 def _row_exp(row: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
@@ -389,7 +391,7 @@ def covector_direct(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
     Validation uses it to prove that the series terminates before anything
     symbolic is built; the round-trip check uses it as a reference for the
     series that :func:`covector_numeric` reads."""
-    _, B, e0_row, _, _ = _chart(model)
+    _, B, e0_row, _, _ = model.derived.chart
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != model.n:
         raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
@@ -432,10 +434,12 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
         the rest),
       * the declared grading is triangular: with all coordinates of grade
         < g_a set to zero, phi_a(omega(z)) - z_a vanishes identically.
+    Each criterion bounds one metric, by ``tol`` except for the two sampled
+    ones, isotropy and grading (ten times max(tol, 1e-12)).
     """
     structure = validate_structure(model.spec, tol)
     representation = validate_representation(model, tol)
-    _, B, e0_row, phi, U = _chart(model)
+    _, B, e0_row, phi, U = model.derived.chart
     e0 = e0_row.conj()
 
     norms = [float(np.linalg.norm(U[:, a])) for a in range(model.n)]
@@ -485,13 +489,13 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
         "grading_triangularity": tri,
         "mprime_independence": 0.0 if lowering_ok else 1.0,
     }
-    passed = (
-        structure.passed
-        and representation.passed
-        and lowering_ok
-        and raising <= tol
-        and ortho <= tol
-        and iso <= max(tol, 1e-12) * 10
-        and tri <= max(tol, 1e-12) * 10
-    )
-    return ValidationReport(passed, metrics, tol)
+    bounds = {
+        **structure.bounds,
+        **representation.bounds,
+        "raising_annihilates_e0": tol,
+        "lowering_orthogonal_e0": tol,
+        "isotropy_completeness": max(tol, 1e-12) * 10,
+        "grading_triangularity": max(tol, 1e-12) * 10,
+        "mprime_independence": 0.0,
+    }
+    return ValidationReport(metrics, bounds)

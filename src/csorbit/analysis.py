@@ -13,7 +13,7 @@ kind with a uniform angular grid:
 
 so the node weights sum to the total mass 1 exactly up to rule exactness.
 Integrands are evaluated at all nodes at once by ``DenseTable.eval``, the
-kernel K(z, conj w) as omega(z) . E(conj w) on the coherent tables.
+kernel K(z, conj w) as omega(z) . conj(omega(w)) on omega's table.
 Models without a measure (e.g. the su3 catalog entry) cannot run these
 checks and raise :class:`UnsupportedCheckError`.
 """
@@ -28,7 +28,7 @@ from scipy.special import roots_jacobi
 
 from .algebra import AlgebraElement, MeasureSpec, OrbitModel
 from .errors import UnsupportedCheckError
-from .orbit import coherent_covector, coherent_vector
+from .orbit import coherent_covector
 from .polyops import DenseTable, diffop_apply
 from .realize import RealizationTable, realize_generator, symbol
 
@@ -94,13 +94,12 @@ def parseval_residual(
     and (by sesquilinearity) the isometry of the symbol map.
 
     For truncated models the default basis is the artifact-free interior
-    block.
+    block, read as a view of the node values (a list of indices copies).
     """
-    if basis_indices is None:
-        basis_indices = range(model.rep.block_dim)
-    V = coherent_covector(model).table.eval(rule.nodes[:, None])[:, list(basis_indices)].T
+    at_nodes = coherent_covector(model).table.eval(rule.nodes[:, None])
+    V = (at_nodes[:, : model.rep.block_dim] if basis_indices is None else at_nodes[:, list(basis_indices)]).T
     G = (V.conj() * rule.weights) @ V.T
-    return float(np.max(np.abs(G - np.eye(len(basis_indices)))))
+    return float(np.max(np.abs(G - np.eye(len(V)))))
 
 
 def reproducing_residual(
@@ -115,10 +114,10 @@ def reproducing_residual(
     if psi.shape[1] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[1]} != dim_rep {model.dim_rep}")
     omega = coherent_covector(model).table
-    at_nodes = omega.eval(rule.nodes[:, None])
-    k_w = at_nodes @ coherent_vector(model).table.eval(np.conj(w)).T
+    at_nodes, at_w = omega.eval(rule.nodes[:, None]), omega.eval(w)
+    k_w = at_nodes @ at_w.conj().T  # E(conj w) = conj(omega(w))
     integrals = rule.weights @ (k_w.conj() * (at_nodes @ psi.T))
-    return float(np.max(np.abs(np.sum(omega.eval(w) * psi, axis=1) - integrals)))
+    return float(np.max(np.abs(np.sum(at_w * psi, axis=1) - integrals)))
 
 
 def adjoint_residual(

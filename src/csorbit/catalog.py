@@ -52,6 +52,15 @@ DEGREE_TARGETS = {
     "su3": ("eq", 3),
 }
 
+# Largest representation dimension a catalog builder accepts, checked before
+# anything is built: load_model takes 2-4 s and under 200 MB at 1,024.
+MAX_DIM_REP = 1024
+
+
+def _check_dim(d: float, what: str) -> None:
+    if d > MAX_DIM_REP:
+        raise ModelStructureError(f"{what} exceeds MAX_DIM_REP = {MAX_DIM_REP}")
+
 
 def _build_heisenberg(trunc: int = 8, margin: int = 3) -> OrbitModel:
     trunc = int(trunc)
@@ -60,6 +69,7 @@ def _build_heisenberg(trunc: int = 8, margin: int = 3) -> OrbitModel:
         raise ModelStructureError("heisenberg: trunc must be >= 1")
     if not 0 <= margin <= trunc:
         raise ModelStructureError("heisenberg: margin must lie in [0, trunc]")
+    _check_dim(trunc + 1, f"heisenberg: dimension trunc + 1 at trunc = {trunc}")
     d = trunc + 1
     a = np.zeros((d, d), dtype=complex)
     for n in range(1, d):
@@ -82,7 +92,8 @@ def _build_heisenberg(trunc: int = 8, margin: int = 3) -> OrbitModel:
 
 def _build_su2(j: float = 0.5) -> OrbitModel:
     twoj = 2 * float(j)
-    if abs(twoj - round(twoj)) > 1e-12 or round(twoj) < 1:
+    _check_dim(twoj + 1, f"su2: dimension 2j + 1 at j = {j}")
+    if not math.isfinite(twoj) or abs(twoj - round(twoj)) > 1e-12 or round(twoj) < 1:
         raise ModelStructureError("su2: j must be a positive half-integer (j >= 1/2)")
     twoj = int(round(twoj))
     j = twoj / 2.0
@@ -122,6 +133,7 @@ def _build_su11(k: float = 1.0, trunc: int = 12, margin: int = 3) -> OrbitModel:
         raise ModelStructureError("su11: trunc must be >= 1")
     if not 0 <= margin <= trunc:
         raise ModelStructureError("su11: margin must lie in [0, trunc]")
+    _check_dim(trunc + 1, f"su11: dimension trunc + 1 at trunc = {trunc}")
     d = trunc + 1
     k0 = np.diag([k + n for n in range(d)]).astype(complex)
     kp = np.zeros((d, d), dtype=complex)
@@ -219,6 +231,8 @@ def _build_su3(p: int = 1, q: int = 1) -> OrbitModel:
     q = int(q)
     if p < 1 or q < 1:
         raise ModelStructureError("su3: catalog entry needs p >= 1 and q >= 1")
+    expected = (p + 1) * (q + 1) * (p + q + 2) // 2
+    _check_dim(expected, f"su3: dimension (p+1)(q+1)(p+q+2)/2 at (p, q) = ({p}, {q})")
     gens = _su3_defining_matrices()
     fund = [_sym_power(m, p) for m in gens]
     dual = [_sym_power(-m.T, q) for m in gens]
@@ -250,7 +264,6 @@ def _build_su3(p: int = 1, q: int = 1) -> OrbitModel:
                 w = w / norm
                 basis.append(w)
                 queue.append(w)
-    expected = (p + 1) * (q + 1) * (p + q + 2) // 2
     if len(basis) != expected:
         raise ModelValidationError(
             f"su3({p},{q}): module closure produced {len(basis)} states, expected {expected}"
@@ -336,8 +349,7 @@ def load_model(source: str | Path, validate: bool = True, tol: float = 1e-10, **
     if validate:
         report = validate_model(model, tol)
         if not report.passed:
-            bad = {k: v for k, v in report.metrics.items() if not v <= tol}
-            raise ModelValidationError(f"model {model.describe()} failed validation: {bad}")
+            raise ModelValidationError(f"model {model.describe()} failed validation: {report.failures}")
     return model
 
 

@@ -231,10 +231,9 @@ def cmd_realize(args) -> tuple[int, RunReport]:
 
 def cmd_kernel(args) -> tuple[int, RunReport]:
     model = _load(args)
-    kp = orbit.kernel(model)
-    n = kp.n
+    n = model.n
     names = [f"z{i + 1}" for i in range(n)] + [f"w{i + 1}" for i in range(n)]
-    rendered = render_poly(kp.poly, names)
+    rendered = render_poly(orbit.kernel(model), names)
     section = {"variables": names, "poly": rendered}
     if args.eval:
         tokens = [tok for arg in args.eval for tok in arg.split()]
@@ -249,10 +248,8 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
             "value": [val.real, val.imag],
         }
     if args.vectors:
-        evec = orbit.coherent_vector(model)
-        ovec = orbit.coherent_covector(model)
-        section["coherent_vector"] = [render_poly(e) for e in evec.entries]
-        section["covector"] = [render_poly(e) for e in ovec.entries]
+        section["coherent_vector"] = [render_poly(e) for e in orbit.coherent_vector(model).entries]
+        section["covector"] = [render_poly(e) for e in orbit.coherent_covector(model).entries]
     report = RunReport(model=model.name, params=model.parameters, kernel=section)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2))

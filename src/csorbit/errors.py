@@ -24,8 +24,8 @@ class PointOffOrbitError(CsorbitError):
 
 
 class DegeneratePointError(CsorbitError):
-    """The kernel evaluated on the diagonal is not positive; only possible
-    through truncation artifacts."""
+    """The kernel at a point is not finite (its powers overflow), or on the
+    diagonal not positive, which only truncation artifacts can cause."""
 
 
 class NonpolynomialRealizationError(CsorbitError):

@@ -1,18 +1,18 @@
 """Symbolic coherent-state vectors, the reproducing kernel on the orbit,
 coordinate extraction, and the group action with its multiplier.
 
-Conventions.  With A_a = dT(mprime[a]) and B_a = A_a^dagger, the coherent
-vector and covector fields in the sum chart are
+Conventions.  With A_a = dT(mprime[a]) and B_a = A_a^dagger, the one
+series built per model is the coherent covector field, in the sum chart
 
-    E(z)     = exp(sum_a z_a A_a) e0          (column, polynomial entries)
-    omega(z) = e0^dagger exp(sum_a z_a B_a)   (row, polynomial entries)
+    omega(z) = e0^dagger exp(sum_a z_a B_a)   (row, polynomial entries),
 
-and in the product chart E(z) = exp(z_1 A_1) ... exp(z_n A_n) e0 with
-omega carrying the adjoint factors in reversed order.  Both are exact
-terminating series (the chart directions are nilpotent on the orbit of
-e0).  Entrywise, omega_k(z) equals E_k(z) with conjugated coefficients, so
-every stored object is holomorphic in z.  The kernel is the polynomial in
-2n variables
+and in the product chart with the adjoint factors of exp(z_1 A_1) ...
+exp(z_n A_n) in reversed order.  It terminates (the chart directions are
+nilpotent on the orbit of e0), and every symbol is F_psi = omega . psi.
+The coherent vector E(z) = exp(sum_a z_a A_a) e0 (resp. the ordered
+product) is omega with conjugated coefficients, so E(conj w) =
+conj(omega(w)), and every stored object is holomorphic in z.  The kernel
+is the polynomial in 2n variables
 
     K(z, w) = sum_k omega_k(z) E_k(w),
 
@@ -24,6 +24,7 @@ acting first) is the matrix product g2 @ g1.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -48,8 +49,9 @@ POLAR_TOL = 1e-12
 
 
 @dataclass(eq=False)
-class _PolyEntries:
-    """One polynomial per representation basis entry."""
+class PolyEntries:
+    """E(z) or omega(z), one polynomial per representation basis entry; the
+    entry at the extremal index is identically 1."""
 
     entries: tuple[MultiPoly, ...]
 
@@ -58,24 +60,6 @@ class _PolyEntries:
         """The entries as a dense coefficient table for evaluation at
         points; built on first use, so symbolic-only paths never build it."""
         return DenseTable(self.entries)
-
-
-class PolyVector(_PolyEntries):
-    """Coherent vector E(z).  The entry at the extremal index is identically 1."""
-
-
-class PolyCovector(_PolyEntries):
-    """Coherent covector omega(z); pairing omega(z) . psi is the symbol of
-    psi.  The entry at the extremal index is identically 1."""
-
-
-@dataclass(eq=False)
-class KernelPoly:
-    """Reproducing kernel as a polynomial in (z_1..z_n, w_1..w_n), the w
-    block standing for conjugated coordinates of the second point."""
-
-    poly: MultiPoly
-    n: int
 
 
 def _exp_series(model: OrbitModel, factors, vec: list[MultiPoly]) -> list[MultiPoly]:
@@ -121,10 +105,9 @@ def _exp_series(model: OrbitModel, factors, vec: list[MultiPoly]) -> list[MultiP
 
 class DerivedData:
     """Everything the package derives from one model, each part built on
-    first use: the chart matrices and functionals, the coherent vector E and
-    covector omega (see :func:`coherent_vector`, :func:`coherent_covector`)
-    with their dense tables, and the kernel polynomial.  ``OrbitModel.derived``
-    owns one, so it lives exactly as long as the model."""
+    first use: the chart matrices and functionals, the series omega with its
+    dense table, E read from omega, and the kernel polynomial.
+    ``OrbitModel.derived`` owns one, so it lives exactly as long as the model."""
 
     def __init__(self, model: OrbitModel):
         self.model = model
@@ -145,51 +128,51 @@ class DerivedData:
         lowering_images = np.column_stack([a[:, model.e0_index] for a in A]) if A else np.zeros((d, 0))
         return tuple(A), tuple(B), e0_row, dual[:, 1:], lowering_images
 
-    def _series(self, mats: Sequence[np.ndarray]) -> tuple[MultiPoly, ...]:
-        """The chart series applied to e0: the single exponential of
-        sum_a z_a M_a for the sum chart, the ordered product
-        exp(z_1 M_1) ... exp(z_n M_n) (rightmost factor first) for the
-        product chart."""
+    @cached_property
+    def covector(self) -> PolyEntries:
+        """omega: the chart series over B_a.T (row @ B == B.T @ column)
+        applied to e0, as the single exponential of sum_a z_a B_a.T for the
+        sum chart and as exp(z_1 B_1.T) ... exp(z_n B_n.T) (rightmost factor
+        first) for the product chart."""
         model = self.model
-        n = model.n
-        vec = [MultiPoly.zero(n)] * model.dim_rep
-        vec[model.e0_index] = MultiPoly.constant(n, 1.0)
-        if model.chart == "sum":
-            return tuple(_exp_series(model, list(enumerate(mats)), vec))
-        for a in range(n - 1, -1, -1):
-            vec = _exp_series(model, [(a, mats[a])], vec)
-        return tuple(vec)
+        factors = list(enumerate(b.T for b in self.chart[1]))
+        vec = [MultiPoly.zero(model.n)] * model.dim_rep
+        vec[model.e0_index] = MultiPoly.constant(model.n, 1.0)
+        for group in [factors] if model.chart == "sum" else [[f] for f in reversed(factors)]:
+            vec = _exp_series(model, group, vec)
+        return PolyEntries(tuple(vec))
 
     @cached_property
-    def vector(self) -> PolyVector:
-        return PolyVector(self._series(self.chart[0]))
+    def vector(self) -> PolyEntries:
+        """E: omega's entries with conjugated coefficients, the series over
+        B_a.T = conj(A_a) being the conjugate of the one over A_a.  Points
+        read omega's table instead, E(conj w) being conj(omega(w))."""
+        conj = lambda p: MultiPoly(p.nvars, {e: c.conjugate() for e, c in p.terms.items()})
+        return PolyEntries(tuple(conj(om) for om in self.covector.entries))
 
     @cached_property
-    def covector(self) -> PolyCovector:
-        return PolyCovector(self._series([b.T for b in self.chart[1]]))  # row @ B == B.T @ column
-
-    @cached_property
-    def kernel(self) -> KernelPoly:
+    def kernel(self) -> MultiPoly:
         n = self.model.n
         total = MultiPoly.zero(2 * n)
         for ok, ek in zip(self.covector.entries, self.vector.entries):
-            if not (ok.is_zero() or ek.is_zero()):
+            if not ok.is_zero():
                 total = total + ok.embed(2 * n, 0) * ek.embed(2 * n, n)
-        return KernelPoly(total, n)
+        return total
 
 
-def coherent_vector(model: OrbitModel) -> PolyVector:
-    """E(z) = exp(sum_a z_a A_a) e0 as an exact finite series."""
+def coherent_vector(model: OrbitModel) -> PolyEntries:
+    """E(z) = exp(sum_a z_a A_a) e0 as an exact finite series, read from
+    omega's entries by conjugating their coefficients."""
     return model.derived.vector
 
 
-def coherent_covector(model: OrbitModel) -> PolyCovector:
-    """Row series over B_a = A_a^dagger matching the model's chart, so that
-    omega_k(z) = conj-coefficients of E_k(z) holds entrywise."""
+def coherent_covector(model: OrbitModel) -> PolyEntries:
+    """omega(z), the row series over B_a = A_a^dagger matching the model's
+    chart; the one series built per model."""
     return model.derived.covector
 
 
-def kernel(model: OrbitModel) -> KernelPoly:
+def kernel(model: OrbitModel) -> MultiPoly:
     """K(z, w) = sum_k omega_k(z) E_k(w) in 2n variables, for display; its
     values come from :func:`kernel_eval`."""
     return model.derived.kernel
@@ -198,18 +181,23 @@ def kernel(model: OrbitModel) -> KernelPoly:
 def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -> complex:
     """Evaluate K at chart points: the second point enters conjugated.
 
-    Computed from the kernel's defining sum omega(z) . E(conj w) on the
-    dense tables, which is how every kernel value in the package is
-    evaluated.  The polynomial ``kernel(model)`` expands the same sum but
-    drops each product coefficient below ``polyops.PRUNE_TOL``: on
-    heisenberg with ``trunc >= 17`` the terms (z conj w)^k / k! for
-    k = 17..26, about 1e-6 relative at |z| = |w| = 2."""
+    Computed as the defining sum omega(z) . E(conj w) = omega(z) .
+    conj(omega(w)) on omega's dense table, which is how every kernel value
+    in the package is evaluated.  The polynomial ``kernel(model)`` expands
+    the same sum but drops each product coefficient below
+    ``polyops.PRUNE_TOL``: on heisenberg with ``trunc >= 17`` the terms
+    (z conj w)^k / k! for k = 17..26, about 1e-6 relative at |z| = |w| = 2.
+    A value that overflows raises :class:`DegeneratePointError`."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     if z.shape[0] != model.n or w.shape[0] != model.n:
         raise ModelStructureError(f"expected two points with {model.n} coordinates")
-    omega = coherent_covector(model).table.eval(z)
-    return complex(omega @ coherent_vector(model).table.eval(np.conj(w)))
+    omega = coherent_covector(model).table
+    with np.errstate(all="ignore"):
+        val = complex(omega.eval(z) @ np.conj(omega.eval(w)))
+    if not cmath.isfinite(val):
+        raise DegeneratePointError(f"kernel value at z = {z.tolist()}, w = {w.tolist()} is not finite: {val}")
+    return val
 
 
 def normalization(model: OrbitModel, z: Sequence[complex]) -> float:
@@ -301,7 +289,7 @@ def polar_check(
     w = np.asarray(w, dtype=complex).reshape(-1)
     point = list(z) + list(np.conj(w))
     scale = 0.0
-    for expo, coeff in kernel(model).poly.terms.items():
+    for expo, coeff in kernel(model).terms.items():
         mag = abs(coeff)
         for pi, ei in zip(point, expo):
             if ei:

@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, OrbitModel, _chart, derived_matrix
+from .algebra import AlgebraElement, OrbitModel, derived_matrix
 from .errors import NonpolynomialRealizationError, PartialTableError
 from .orbit import coherent_covector, group_action
 from .polyops import (
@@ -94,7 +94,7 @@ def _closed_form(model: OrbitModel, X: np.ndarray) -> DiffOp1:
     """P and Q of D_X from omega X = P omega + sum_i Q_i d_i omega, as in
     the module docstring."""
     n = model.n
-    phi = _chart(model)[3]
+    phi = model.derived.chart[3]
     P = symbol(model, X[:, model.e0_index])
     f = [symbol(model, phi[:, a]) for a in range(n)]
     Xphi = X @ phi

@@ -15,7 +15,6 @@ from csorbit import (
     validate_representation,
     validate_structure,
 )
-from csorbit.algebra import _chart
 
 SU2_STRUCTURE = ((0, 1, 1, 1.0), (0, 2, 2, -1.0), (1, 2, 0, 2.0))
 
@@ -174,7 +173,7 @@ def test_catalog_models_validate(name, params):
 @pytest.mark.parametrize("name", ["su2", "heisenberg", "su11", "su3"])
 def test_lowering_images_independent_and_orthogonal(name):
     model = load_model(name)
-    _, B, e0_row, _, U = _chart(model)
+    _, B, e0_row, _, U = model.derived.chart
     e0 = e0_row.conj()
     # orthogonal to e0 and full rank
     for a in range(model.n):

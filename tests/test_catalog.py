@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from csorbit import (
     read_complex_matrix,
     run_checks,
 )
-from csorbit.catalog import _build_su3, _su3_defining_matrices
+from csorbit.catalog import MAX_DIM_REP, _build_su3, _su3_defining_matrices
 
 
 def test_catalog_names():
@@ -136,6 +137,9 @@ def test_invalid_parameters():
         load_model("su2", j=0.3)
     with pytest.raises(ModelStructureError):
         load_model("su2", j=0)
+    for j in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ModelStructureError):
+            load_model("su2", j=j)
     with pytest.raises(ModelStructureError):
         load_model("su11", k=0.4)
     with pytest.raises(ModelStructureError):
@@ -144,6 +148,25 @@ def test_invalid_parameters():
         load_model("heisenberg", trunc=-1)
     with pytest.raises(ModelStructureError):
         load_model("su2", q=1)  # not a su2 parameter
+
+
+def test_dimension_bound_admits_its_own_size():
+    # the sizes above the bound are refused by the CLI tests, which run them
+    # under a memory limit
+    assert load_model("heisenberg", trunc=MAX_DIM_REP - 1, validate=False).dim_rep == MAX_DIM_REP
+    assert load_model("su2", j=(MAX_DIM_REP - 1) / 2, validate=False).dim_rep == MAX_DIM_REP
+
+
+def test_validation_error_names_only_the_failed_metrics(tmp_path):
+    # commutator_global reads 9.0 on every heisenberg model but bounds
+    # nothing; only the perturbed block commutator fails
+    data = model_to_dict(load_model("heisenberg"))
+    data["rep"]["matrices"][0][0][1][0] += 1e-6
+    path = tmp_path / "perturbed.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ModelValidationError) as info:
+        load_model(path)
+    assert re.findall(r"'(\w+)':", str(info.value)) == ["commutator_block"]
 
 
 def test_unknown_model_name():

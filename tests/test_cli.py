@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import resource
 import subprocess
 import sys
 
@@ -237,6 +238,48 @@ def test_package_runs_as_module():
     assert proc.returncode == 0
     assert "J- : P = 2 z1, Q1 = -z1^2" in proc.stdout
     assert run_module("check", "--model", "so5").returncode == 2
+
+
+def test_kernel_eval_overflow_exits_2():
+    # the powers at 1e200 overflow: a NaN value, which JSON cannot hold
+    proc = subprocess.run(
+        [sys.executable, "-m", "csorbit", "kernel", "--model", "su2", "--j", "1", "--eval", "1e200,0", "1e200,0", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: kernel value at z = [(1e+200+0j)], w = [(1e+200+0j)] is not finite: (nan+nanj)"
+    ]
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--model", "su2", "--j", "1e300"],
+        ["--model", "heisenberg", "--trunc", "100000"],
+        ["--model", "su11", "--trunc", "100000"],
+        ["--model", "su3", "--p", "40", "--q", "40"],
+    ],
+    ids=lambda flags: flags[1],
+)
+def test_parameters_above_the_dimension_bound_exit_2(flags):
+    # under a 1 GiB address-space limit and a timeout, a builder that
+    # allocates before it checks its size fails fast instead of exhausting
+    # the machine's memory
+    proc = subprocess.run(
+        [sys.executable, "-m", "csorbit", "check", *flags, "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=_limit_address_space,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {flags[1]}: dimension") and "exceeds MAX_DIM_REP = 1024" in proc.stderr
 
 
 def test_group_element_file_of_wrong_size_is_usage_error(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import gc
+import json
 import math
 import weakref
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import csorbit.orbit as orbit_mod
 from csorbit import (
     AlgebraElement,
     DegeneratePointError,
@@ -22,10 +24,11 @@ from csorbit import (
     kernel_eval,
     load_model,
     max_coeff_diff,
+    model_to_dict,
     normalization,
     polar_check,
 )
-from csorbit.algebra import _chart, covector_direct, covector_numeric
+from csorbit.algebra import covector_direct, covector_numeric
 from csorbit.polyops import MultiPoly
 
 ALL_MODELS = [
@@ -74,7 +77,7 @@ def test_extremal_entry_is_one_and_value_at_zero(name, params):
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_vector_matches_matrix_exponential(name, params, rng):
     m = load_model(name, **params)
-    A, B, _, _, _ = _chart(m)
+    A, B, _, _, _ = m.derived.chart
     E = coherent_vector(m).entries
     om = coherent_covector(m).entries
     e0 = np.zeros(m.dim_rep)
@@ -98,13 +101,13 @@ def test_vector_matches_matrix_exponential(name, params, rng):
 def test_kernel_goldens(su2_half, su2_one):
     # j = 1/2: K = 1 + z w
     kp = kernel(su2_half)
-    assert kp.poly.terms == {(0, 0): 1.0, (1, 1): 1.0}
+    assert kp.terms == {(0, 0): 1.0, (1, 1): 1.0}
     # j = 1: K = 1 + 2 z w + z^2 w^2
     kp1 = kernel(su2_one)
     want = MultiPoly(2, {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0})
-    assert max_coeff_diff(kp1.poly, want) < 1e-14
+    assert max_coeff_diff(kp1, want) < 1e-14
     # evaluation example
-    assert kp1.poly.eval([1, 1]) == pytest.approx(4.0)
+    assert kp1.eval([1, 1]) == pytest.approx(4.0)
     assert kernel_eval(su2_one, [1], [1]) == pytest.approx(4.0)
 
 
@@ -112,10 +115,10 @@ def test_kernel_goldens(su2_half, su2_one):
 def test_kernel_hermitian_and_normalized_at_zero(name, params):
     m = load_model(name, **params)
     kp = kernel(m)
-    n = kp.n
-    for expo, coeff in kp.poly.terms.items():
+    n = m.n
+    for expo, coeff in kp.terms.items():
         alpha, beta = expo[:n], expo[n:]
-        mirrored = kp.poly.terms.get(beta + alpha)
+        mirrored = kp.terms.get(beta + alpha)
         assert mirrored is not None
         assert abs(coeff - np.conj(mirrored)) < 1e-13
     assert kernel_eval(m, np.zeros(n), np.zeros(n)) == pytest.approx(1.0)
@@ -174,7 +177,7 @@ def test_extraction_roundtrip(name, params, rng):
 
 def _expm_covector(m, z):
     """e0^T exp(...) by scipy's expm on the B_a matrices, in chart order."""
-    _, B, e0_row, _, _ = _chart(m)
+    _, B, e0_row, _, _ = m.derived.chart
     if m.chart == "sum":
         return e0_row @ scipy.linalg.expm(sum(za * b for za, b in zip(z, B)))
     row = e0_row
@@ -195,6 +198,91 @@ def test_covector_matches_expm(name, params, covector, rng):
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
+def _series_over_lowering_matrices(m):
+    """E as the chart series over the A_a themselves, built apart from omega."""
+    A = m.derived.chart[0]
+    vec = [MultiPoly.zero(m.n)] * m.dim_rep
+    vec[m.e0_index] = MultiPoly.constant(m.n, 1.0)
+    if m.chart == "sum":
+        return orbit_mod._exp_series(m, list(enumerate(A)), vec)
+    for a in range(m.n - 1, -1, -1):
+        vec = orbit_mod._exp_series(m, [(a, A[a])], vec)
+    return vec
+
+
+def _bits(p, conjugate=False):
+    """Terms in stored order, each coefficient as the exact bits of its two
+    parts; ``conjugate`` conjugates first and adds 0j, as MultiPoly does, so
+    that a conjugated zero imaginary part reads +0."""
+    coeffs = ((e, 0j + c.conjugate() if conjugate else c) for e, c in p.terms.items())
+    return [(e, c.real.hex(), c.imag.hex()) for e, c in coeffs]
+
+
+def _assert_vector_is_conjugated_covector(m):
+    E, om = coherent_vector(m).entries, coherent_covector(m).entries
+    ref = _series_over_lowering_matrices(m)
+    for e, o, r in zip(E, om, ref, strict=True):
+        assert _bits(r) == _bits(o, conjugate=True)
+        assert _bits(e) == _bits(r)
+
+
+CONJUGATION_MODELS = [
+    *[("su2", {"j": j}) for j in (0.5, 1, 2, 16, 40)],
+    *[("heisenberg", {"trunc": t}) for t in (8, 40, 80)],
+    ("su11", {}),
+    ("su11", {"k": 1.5, "trunc": 40}),
+    ("su11", {"trunc": 80}),
+    *[("su3", {"p": p, "q": q}) for p, q in ((1, 1), (2, 1), (3, 3), (4, 4))],
+]
+
+
+@pytest.mark.parametrize("name,params", CONJUGATION_MODELS)
+def test_vector_is_covector_with_conjugated_coefficients(name, params):
+    # the series over the A_a and the one over conj(A_a) agree bit for bit
+    # up to conjugation, signed zeros included, and in the same term order
+    _assert_vector_is_conjugated_covector(load_model(name, **params))
+
+
+def test_vector_is_covector_with_conjugated_coefficients_non_real_model(tmp_path, su2_one):
+    # su2 j = 1 in the basis e_k -> e^{ik theta} e_k: the chart matrices have
+    # non-real entries, so conjugation changes every series coefficient
+    D = np.diag(np.exp(0.7j * np.arange(3)))
+    data = model_to_dict(su2_one)
+    data["rep"]["matrices"] = [
+        [[[x.real, x.imag] for x in row] for row in D @ mat @ D.conj()] for mat in su2_one.rep.matrices
+    ]
+    path = tmp_path / "su2_phase.json"
+    path.write_text(json.dumps(data))
+    m = load_model(path)
+    assert any(c.imag != 0 for e in coherent_covector(m).entries for c in e.terms.values())
+    _assert_vector_is_conjugated_covector(m)
+
+
+def test_one_series_per_model(monkeypatch):
+    calls = []
+    series = orbit_mod._exp_series
+    monkeypatch.setattr(orbit_mod, "_exp_series", lambda *args: calls.append(1) or series(*args))
+    m = load_model("su3", p=1, q=1)
+    coherent_covector(m)
+    built = len(calls)
+    assert built > 0
+    coherent_vector(m)
+    kernel(m)
+    kernel_eval(m, [0.1, 0.2, 0.3], [0.3j, 0.2, 0.1])
+    assert len(calls) == built
+    assert "table" not in vars(coherent_vector(m))
+
+
+@pytest.mark.parametrize("name,params,z", [("su2", {"j": 1}, [1e200]), ("heisenberg", {}, [1e100])])
+def test_kernel_at_overflowing_point_is_an_error(name, params, z):
+    # the powers overflow to a NaN kernel value; no RuntimeWarning escapes
+    m = load_model(name, **params)
+    with pytest.raises(DegeneratePointError, match="not finite"):
+        kernel_eval(m, z, z)
+    with pytest.raises(DegeneratePointError, match="not finite"):
+        normalization(m, z)
+
+
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_kernel_eval_matches_kernel_polynomial(name, params, rng):
     m = load_model(name, **params)
@@ -202,17 +290,18 @@ def test_kernel_eval_matches_kernel_polynomial(name, params, rng):
     for _ in range(5):
         z = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
         w = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
-        ref = kp.poly.eval(list(z) + list(np.conj(w)))
+        ref = kp.eval(list(z) + list(np.conj(w)))
         assert abs(kernel_eval(m, z, w) - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_dense_table_built_on_first_point_evaluation():
     m = load_model("su2", j=3)
-    kernel(m)  # builds both series without evaluating them at a point
+    kernel(m)  # builds E and omega without evaluating them at a point
     assert "table" not in vars(coherent_covector(m))
     assert "table" not in vars(coherent_vector(m))
     kernel_eval(m, [0.1], [0.2j])
-    assert "table" in vars(coherent_covector(m)) and "table" in vars(coherent_vector(m))
+    # E(conj w) is read as conj(omega(w)), so only omega's table is built
+    assert "table" in vars(coherent_covector(m)) and "table" not in vars(coherent_vector(m))
 
 
 # heisenberg coefficients fall under the absolute PRUNE_TOL from k = 17 in
@@ -259,7 +348,7 @@ def test_kernel_eval_matches_expm(name, params, rng):
 def test_kernel_polynomial_matches_kernel_eval_heisenberg_far_point():
     m = load_model(HEISENBERG_40[0], **HEISENBERG_40[1])
     ref = kernel_eval(m, [2.0], [2.0])
-    assert abs(kernel(m).poly.eval([2.0, 2.0]) - ref) < 1e-12 * abs(ref)
+    assert abs(kernel(m).eval([2.0, 2.0]) - ref) < 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("covector", [covector_numeric, covector_direct], ids=lambda f: f.__name__)
@@ -343,7 +432,7 @@ def test_su11_kernel_coefficients():
         for i in range(n):
             poch *= 2 * k + i
         want = poch / math.factorial(n)
-        assert kp.poly.terms.get((n, n), 0.0) == pytest.approx(want, rel=1e-12)
+        assert kp.terms.get((n, n), 0.0) == pytest.approx(want, rel=1e-12)
 
 
 def test_group_element_helper(su2_half):
