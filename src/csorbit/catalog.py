@@ -56,6 +56,16 @@ DEGREE_TARGETS = {
 # anything is built: load_model takes 2-4 s and under 200 MB at 1,024.
 MAX_DIM_REP = 1024
 
+# The su3 closure keeps a lowered vector as a new state when what is left of
+# it after projecting out the states so far exceeds CLOSURE_TOL times its
+# norm (floored at 1).  At thirteen admitted sizes from (1, 30) to (30, 1),
+# (9, 9) among them, new states keep at least 0.018 of that (at (30, 1)),
+# and rounding leaves at most 2.7e-6 (at (9, 9), from images that are zero
+# up to rounding), so 1e-4 has a margin of at least 37 on both sides.  A
+# purely relative test would keep those images, and an absolute one keeps
+# rounding residues once they grow with the size.
+CLOSURE_TOL = 1e-4
+
 
 def _check_dim(d: float, what: str) -> None:
     if d > MAX_DIM_REP:
@@ -249,31 +259,39 @@ def _build_su3(p: int = 1, q: int = 1) -> OrbitModel:
     v0 = np.zeros(sp * sq, dtype=complex)
     v0[sq - 1] = 1.0
 
-    # close under the lowering operators f1, f2 and orthonormalize
-    basis = [v0]
+    # close under the lowering operators f1, f2 and orthonormalize, into one
+    # preallocated basis and its conjugate read through column slices
+    Q = np.zeros((sp * sq, expected), dtype=complex)
+    Qh = np.zeros_like(Q)
+    Q[:, 0] = Qh[:, 0] = v0
+    count = 1
     queue = [v0]
     while queue:
         v = queue.pop(0)
         for f in (5, 6):
-            w = act(f, v[:, None])[:, 0]
-            Q = np.column_stack(basis)
-            w = w - Q @ (Q.conj().T @ w)
-            w = w - Q @ (Q.conj().T @ w)
+            image = act(f, v[:, None])[:, 0]
+            B, Bh = Q[:, :count], Qh[:, :count]
+            w = image - B @ (Bh.T @ image)
+            w = w - B @ (Bh.T @ w)
             norm = np.linalg.norm(w)
-            if norm > 1e-10:
+            if norm > CLOSURE_TOL * max(np.linalg.norm(image), 1.0):
+                if count == expected:
+                    raise ModelValidationError(
+                        f"su3({p},{q}): module closure produced more than {expected} states"
+                    )
                 w = w / norm
-                basis.append(w)
+                Q[:, count], Qh[:, count] = w, w.conj()
+                count += 1
                 queue.append(w)
-    if len(basis) != expected:
+    if count != expected:
         raise ModelValidationError(
-            f"su3({p},{q}): module closure produced {len(basis)} states, expected {expected}"
+            f"su3({p},{q}): module closure produced {count} states, expected {expected}"
         )
-    Q = np.column_stack(basis)
-    wt1 = np.real(np.diag(Q.conj().T @ act(0, Q)))
-    wt2 = np.real(np.diag(Q.conj().T @ act(1, Q)))
+    wt1 = np.real(np.diag(Qh.T @ act(0, Q)))
+    wt2 = np.real(np.diag(Qh.T @ act(1, Q)))
     level = np.rint((p - wt1) + (q - wt2)).astype(int)
     order = sorted(
-        range(len(basis)),
+        range(expected),
         key=lambda i: (level[i], -int(round(wt1[i])), -int(round(wt2[i])), i),
     )
     Q = Q[:, order]

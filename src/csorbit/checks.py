@@ -54,6 +54,12 @@ COCYCLE_PAIRS = 50
 ROUNDTRIP_DRAWS = 20
 REPRODUCING_DRAWS = 5
 RNG_SEED = 20240801
+# The cocycle check acts on its pairs in blocks, so that each stack of group
+# elements (g1, g2 and their products) stays within this many bytes: one
+# block for every model up to d = 102, and at most 24 MiB of stacks however
+# large the representation (all 50 pairs at once would take 2.5 GB at
+# d = 1,024).
+STACK_BYTES = 8 * 2**20
 
 # the validate_model metrics whose maximum each validation check reports
 VALIDATION_METRICS = {
@@ -163,19 +169,29 @@ def run_checks(
                 residuals.append(realize.flow_crosscheck(model, x, points, table=table))
             return _measured(float(np.max(residuals)), check_tol)
         if name == "cocycle":
+            pairs = COCYCLE_PAIRS if cocycle_pair is None else 5
+            d = model.dim_rep
+            block = max(1, STACK_BYTES // (16 * d * d))
             residuals = []
-            for _ in range(COCYCLE_PAIRS if cocycle_pair is None else 5):
-                g1, g2 = cocycle_pair or [_random_group_element(rng, model) for _ in range(2)]
-                residuals.append(realize.cocycle_residual(model, g1, g2, _random_point(rng, model, 0.3)))
+            for start in range(0, pairs, block):
+                g1s, g2s = np.empty((2, min(block, pairs - start), d, d), dtype=complex)
+                points = np.empty((len(g1s), model.n), dtype=complex)
+                for k in range(len(g1s)):
+                    g1s[k], g2s[k] = cocycle_pair or [_random_group_element(rng, model) for _ in range(2)]
+                    points[k] = _random_point(rng, model, 0.3)
+                residuals.extend(realize.cocycle_residual(model, g1s, g2s, points))
             return _measured(float(np.max(residuals)), check_tol)
         if name == "roundtrip":
-            residuals = []
-            # the reference covector comes from the chart matrices, not from
+            # the reference covectors come from the chart matrices, not from
             # the symbolic series that extract_coordinates solves against
+            z0s, mu0s, rows = [], [], []
             for _ in range(ROUNDTRIP_DRAWS):
-                z0 = _random_point(rng, model, 0.5)
-                mu0 = (0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform())
-                mu, z = orbit.extract_coordinates(model, mu0 * covector_direct(model, z0))
+                z0s.append(_random_point(rng, model, 0.5))
+                mu0s.append((0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform()))
+                rows.append(mu0s[-1] * covector_direct(model, z0s[-1]))
+            mus, zs = orbit.extract_coordinates(model, np.array(rows))
+            residuals = []
+            for mu, mu0, z, z0 in zip(mus, mu0s, zs, z0s):
                 residuals += [abs(mu - mu0) / (1 + abs(mu0)), *np.abs(z - z0)]
             return _measured(float(np.max(residuals)), check_tol)
         tier = tol if tol is not None else (1e-6 if model.rep.truncated else 1e-8)

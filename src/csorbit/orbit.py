@@ -129,6 +129,19 @@ class DerivedData:
         return tuple(A), tuple(B), e0_row, dual[:, 1:], lowering_images
 
     @cached_property
+    def grade_steps(self) -> tuple[list[int], ...]:
+        """The chart directions grouped by grade, in increasing grade: the
+        order in which coordinate extraction solves for them."""
+        grading = self.model.grading
+        return tuple([a for a in range(self.model.n) if grading[a] == g] for g in sorted(set(grading)))
+
+    @cached_property
+    def grade_one(self) -> np.ndarray:
+        """The functionals phi_a of the lowest-grade directions, (d, k): the
+        coordinates the polar guard of coordinate extraction reads."""
+        return self.chart[3][:, self.grade_steps[0] if self.grade_steps else []]
+
+    @cached_property
     def covector(self) -> PolyEntries:
         """omega: the chart series over B_a.T (row @ B == B.T @ column)
         applied to e0, as the single exponential of sum_a z_a B_a.T for the
@@ -213,35 +226,61 @@ def normalization(model: OrbitModel, z: Sequence[complex]) -> float:
     return float(val.real) ** -0.5
 
 
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a complex (N, k) stack, computed as
+    ``np.linalg.norm`` computes one vector (a real and an imaginary dot
+    product per row), so each is bit for bit the one-row value."""
+    dot = lambda r: (r[:, None, :] @ r[:, :, None])[:, 0, 0]
+    return np.sqrt(dot(x.real) + dot(x.imag))
+
+
+def _on_polar_divisor(model: OrbitModel, v: np.ndarray, mu) -> np.ndarray:
+    """True where a covector (or each row of a stack) lies on the polar
+    divisor of the base point: mu = 0, or a grade-one coordinate
+    phi_a(v) / mu beyond 1 / POLAR_TOL.  Measured against those
+    coordinates rather than against max|v|, which grows with the orbit
+    (to 2.8e15 |mu| at ordinary points of su2 j = 100)."""
+    low = np.abs(v[..., None, :] @ model.derived.grade_one)[..., 0, :]
+    return (mu == 0) | (np.max(low, axis=-1, initial=0.0) > np.abs(mu) / POLAR_TOL)
+
+
 def extract_coordinates(
-    model: OrbitModel, v: Sequence[complex], tol: float = EXTRACT_TOL
-) -> tuple[complex, np.ndarray]:
+    model: OrbitModel, v: Sequence[complex] | np.ndarray, tol: float = EXTRACT_TOL
+) -> tuple[complex | np.ndarray, np.ndarray]:
     """Graded triangular solve of v = mu * omega(z).
 
-    mu is read off the extremal component.  Chart directions are processed
-    in increasing grading; at grade g the functional phi_a applied to
-    omega(z) equals z_a plus a polynomial in the already-determined
-    lower-grade coordinates, so each coordinate costs one linear step with
-    a polynomial correction.  The residual |v - mu omega(z)| <= tol |v| is
-    verified afterwards; for truncated models it is measured on the
-    artifact-free block and the threshold is widened by the magnitude
-    carried in the artifact zone, since group motion legitimately leaks
-    truncation tails downward and a mismatch below that scale cannot be
-    distinguished from truncation error.
+    mu is read off the extremal component; a covector on the polar divisor
+    (see :func:`_on_polar_divisor`) raises :class:`PolarDivisorError`.  Chart
+    directions are processed in increasing grading; at grade g the
+    functional phi_a applied to omega(z) equals z_a plus a polynomial in the
+    already-determined lower-grade coordinates, so each coordinate costs one
+    linear step with a polynomial correction.  The residual
+    |v - mu omega(z)| <= tol |v| is verified afterwards; for truncated
+    models it is measured on the artifact-free block and the threshold is
+    widened by the magnitude carried in the artifact zone, since group
+    motion legitimately leaks truncation tails downward and a mismatch below
+    that scale cannot be distinguished from truncation error.
+
+    ``v`` is one covector (d,), giving (mu, z), or a stack (N, d), giving
+    (mu, z) of shapes (N,) and (N, n): one table evaluation per grade for
+    the whole stack, each row bit for bit the one-covector result.  If any
+    row fails, the first failing row is re-run alone and raises its
+    one-covector error.
     """
-    v = np.asarray(v, dtype=complex).reshape(-1)
+    v = np.asarray(v, dtype=complex)
+    if v.ndim == 2:
+        return _extract_stack(model, v, tol)
+    v = v.reshape(-1)
     if v.shape[0] != model.dim_rep:
         raise ModelStructureError(f"covector length {v.shape[0]} != dim_rep {model.dim_rep}")
-    scale = float(np.max(np.abs(v)))
     mu = v[model.e0_index]
-    if scale == 0.0 or abs(mu) <= POLAR_TOL * scale:
+    if _on_polar_divisor(model, v, mu):
         raise PolarDivisorError("covector lies on the polar divisor of the base point")
     W = v / mu
     phi = model.derived.chart[3]
     omega = coherent_covector(model).table
     z = np.zeros(model.n, dtype=complex)
-    for g in sorted(set(model.grading)):
-        active = [a for a in range(model.n) if model.grading[a] == g]
+    for active in model.derived.grade_steps:
         partial = omega.eval(z)
         for a in active:
             z[a] = (W - partial) @ phi[:, a]
@@ -257,19 +296,60 @@ def extract_coordinates(
     return mu, z
 
 
+def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked form of :func:`extract_coordinates`.  Every product is
+    taken row by row in the shape the one-covector path uses (a row with
+    ``[:, None, :] @``, a functional on phi's strided column), which keeps
+    each row bit for bit equal to it."""
+    if V.shape[1] != model.dim_rep:
+        raise ModelStructureError(f"covector length {V.shape[1]} != dim_rep {model.dim_rep}")
+    mu = V[:, model.e0_index]
+    polar = _on_polar_divisor(model, V, mu)
+    # polar rows are rejected below; dividing them by 1 keeps them finite
+    W = V / np.where(polar, 1, mu)[:, None]
+    phi = model.derived.chart[3]
+    omega = coherent_covector(model).table
+    Z = np.zeros((len(V), model.n), dtype=complex)
+    for active in model.derived.grade_steps:
+        D = (W - omega.eval(Z))[:, None, :]
+        for a in active:
+            Z[:, a] = (D @ phi[:, a][:, None])[:, 0, 0]
+    block = model.rep.block_dim
+    rnorm = _row_norms(V[:, :block] - mu[:, None] * omega.eval(Z)[:, :block])
+    threshold = tol * _row_norms(V[:, :block]) + _row_norms(V[:, block:])
+    for k in np.flatnonzero(polar | (rnorm > threshold)):
+        extract_coordinates(model, V[k], tol)  # raises the one-covector error
+    return mu, Z
+
+
 def group_action(
-    model: OrbitModel, g: np.ndarray, z: Sequence[complex]
-) -> tuple[complex, np.ndarray]:
+    model: OrbitModel, g: np.ndarray, z: Sequence[complex] | np.ndarray
+) -> tuple[complex | np.ndarray, np.ndarray]:
     """Transform a chart point by a group element given as its d x d
     representation matrix: omega(z) g = J omega(z'), returning (J, z').
 
     J is the multiplier (cocycle) value; composites obey
     J(g1 o g2, z) = J(g1, g2.z) J(g2, z) when the composite g1 o g2 is the
     matrix product g2 @ g1 (covectors are acted on from the right).
+
+    ``z`` may also be a stack of points (N, n), acted on by one element
+    ``g`` or row by row by a stack (N, d, d); the result is (J, z') of
+    shapes (N,) and (N, n), each row bit for bit the one-point result, and
+    an error is the one-point error of the first failing row (see
+    :func:`extract_coordinates`).
     """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (model.dim_rep, model.dim_rep):
-        raise ModelStructureError(f"group element must be {model.dim_rep} x {model.dim_rep}")
+    z = np.asarray(z, dtype=complex)
+    d = model.dim_rep
+    if z.ndim == 2:
+        if z.shape[1] != model.n:
+            raise ModelStructureError(f"expected points with {model.n} coordinates, got {z.shape[1]}")
+        if g.shape not in ((d, d), (len(z), d, d)):
+            raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(z)} of them")
+        rows = (coherent_covector(model).table.eval(z)[:, None, :] @ g)[:, 0]
+        return extract_coordinates(model, rows)
+    if g.shape != (d, d):
+        raise ModelStructureError(f"group element must be {d} x {d}")
     row = covector_numeric(model, z) @ g
     return extract_coordinates(model, row)
 

@@ -32,7 +32,7 @@ import numpy as np
 import scipy.linalg
 
 from .algebra import AlgebraElement, OrbitModel, derived_matrix
-from .errors import NonpolynomialRealizationError, PartialTableError
+from .errors import CsorbitError, NonpolynomialRealizationError, PartialTableError
 from .orbit import coherent_covector, group_action
 from .polyops import (
     DenseTable,
@@ -226,11 +226,14 @@ def flow_crosscheck(
     estimated by Richardson extrapolation of central differences with steps
     h and h/2, (4 D(h/2) - D(h)) / 3, and compared with the realized
     polynomials.  ``z0`` is one point (length n) or a stack of points
-    (N, n); the operator and the four ``expm`` calls serve all of them.
-    The operator is read from ``table`` when given (a partial table raises
-    :class:`PartialTableError`), otherwise realized by
-    :func:`realize_generator` at its defaults.  Returns the max deviation
-    over the points.
+    (N, n); the operator, the four ``expm`` calls and four stacked
+    :func:`group_action` calls serve all of them, and each point's estimate
+    is bit for bit the one it has alone.  If a point fails, the error is
+    the one-point error of the first failing point, taking its four group
+    actions in the order +h, -h, +h/2, -h/2.  The operator is read from
+    ``table`` when given (a partial table raises :class:`PartialTableError`),
+    otherwise realized by :func:`realize_generator` at its defaults.
+    Returns the max deviation over the points.
     """
     points = np.atleast_2d(np.asarray(z0, dtype=complex))
     X = derived_matrix(model, x)
@@ -241,26 +244,46 @@ def flow_crosscheck(
     def central(z, s, g_plus, g_minus):
         j_plus, z_plus = group_action(model, g_plus, z)
         j_minus, z_minus = group_action(model, g_minus, z)
-        return (np.r_[j_plus, z_plus] - np.r_[j_minus, z_minus]) / (2 * s)
+        return (np.column_stack([j_plus, z_plus]) - np.column_stack([j_minus, z_minus])) / (2 * s)
 
-    estimates = []
-    for z in points:
-        d_h, d_half = (central(z, *flow) for flow in flows)
-        estimates.append((4 * d_half - d_h) / 3)
-    return float(np.max(np.abs(np.array(estimates) - realized)))
+    try:
+        d_h, d_half = (central(points, *flow) for flow in flows)
+    except CsorbitError:
+        for z in points:  # the first failure in point order raises
+            for flow in flows:
+                central(z[None], *flow)
+        raise
+    return float(np.max(np.abs((4 * d_half - d_h) / 3 - realized)))
 
 
 def cocycle_residual(
-    model: OrbitModel, g1: np.ndarray, g2: np.ndarray, z: Sequence[complex]
-) -> float:
+    model: OrbitModel, g1: np.ndarray, g2: np.ndarray, z: Sequence[complex] | np.ndarray
+) -> float | np.ndarray:
     """|J(g1 o g2, z) - J(g1, g2.z) J(g2, z)| where the composite g1 o g2
-    (g2 acting first) is realized as the matrix product g2 @ g1."""
+    (g2 acting first) is realized as the matrix product g2 @ g1.
+
+    ``z`` may be a stack of points (N, n), with g1 and g2 each one matrix
+    or a stack (N, d, d) of per-row elements; the result is then the (N,)
+    residuals, each bit for bit the one-point value, from three stacked
+    :func:`group_action` calls.  If a row fails, the error is the
+    one-point error of the first failing row."""
     g1 = np.asarray(g1, dtype=complex)
     g2 = np.asarray(g2, dtype=complex)
-    j12, _ = group_action(model, g2 @ g1, z)
-    j2, z2 = group_action(model, g2, z)
-    j1, _ = group_action(model, g1, z2)
-    return abs(j12 - j1 * j2)
+    try:
+        j12, _ = group_action(model, g2 @ g1, z)
+        j2, z2 = group_action(model, g2, z)
+        j1, _ = group_action(model, g1, z2)
+    except CsorbitError:
+        if np.ndim(z) == 2:  # the first failing row raises
+            row = lambda g, k: g if g.ndim == 2 else g[k]
+            for k, zk in enumerate(np.asarray(z, dtype=complex)):
+                cocycle_residual(model, row(g1, k), row(g2, k), zk)
+        raise
+    if np.ndim(z) != 2:
+        return abs(j12 - j1 * j2)
+    # on numpy scalars, as one row alone: the vectorized complex product and
+    # abs can differ from them in the last bit
+    return np.array([abs(a - b * c) for a, b, c in zip(j12, j1, j2)])
 
 
 @dataclass

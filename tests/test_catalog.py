@@ -255,3 +255,8 @@ def test_group_element_matrix_file(tmp_path):
     bad.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]]]))
     with pytest.raises(ModelStructureError):
         read_complex_matrix(bad)
+
+
+def test_su3_closure_threshold_scales_with_the_module():
+    # an absolute 1e-10 kept rounding residues as states here (434 of 420)
+    assert _build_su3(6, 7).dim_rep == 420

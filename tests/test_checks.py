@@ -46,3 +46,9 @@ def test_tol_overrides_checks_not_acceptance():
     records = cs.run_checks(model, ["intertwining", "parseval", "cocycle"], tol=1e-30)
     assert [r["tolerance"] for r in records] == [1e-30] * 3
     assert records[0]["status"] == "fail" and records[0]["residual"] > 0 and "note" not in records[0]
+
+
+def test_cocycle_blocks_do_not_change_the_record(monkeypatch, su3_11):
+    whole = cs.run_checks(su3_11, ["cocycle", "roundtrip"])
+    monkeypatch.setattr(checks, "STACK_BYTES", 7 * 16 * su3_11.dim_rep**2)  # blocks of 7 pairs
+    assert cs.run_checks(su3_11, ["cocycle", "roundtrip"]) == whole

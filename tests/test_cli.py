@@ -391,11 +391,11 @@ def test_nan_residual_fails_its_check(monkeypatch, capsys):
     from csorbit import realize
 
     cocycle = realize.cocycle_residual
-    calls = []
 
     def second_is_nan(*args):
-        calls.append(None)
-        return math.nan if len(calls) == 2 else cocycle(*args)
+        residuals = cocycle(*args)  # one per pair
+        residuals[1] = math.nan
+        return residuals
 
     monkeypatch.setattr(realize, "cocycle_residual", second_is_nan)
     code, out, report = invoke(["check", "--model", "su2", "--suite", "cocycle", "--json"], capsys)

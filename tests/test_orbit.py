@@ -27,6 +27,7 @@ from csorbit import (
     model_to_dict,
     normalization,
     polar_check,
+    run_checks,
 )
 from csorbit.algebra import covector_direct, covector_numeric
 from csorbit.polyops import MultiPoly
@@ -495,3 +496,115 @@ def test_derived_data_is_collected_with_its_model():
     del model, omega
     gc.collect()
     assert [r() for r in refs] == [None, None]
+
+
+# -- stacks of covectors and points ------------------------------------------
+
+CHECK_SUITE_MODELS = [
+    ("su3", {"p": 1, "q": 1}),
+    ("su2", {"j": 16}),
+    ("su11", {"k": 1.5, "trunc": 40}),
+    ("heisenberg", {"trunc": 40}),
+    ("su3", {"p": 2, "q": 2}),
+    ("su3", {"p": 3, "q": 3}),
+]
+
+
+def _near_identity(model, rng, scale=0.15):
+    norm = max(1.0, max(float(np.max(np.abs(m))) for m in model.rep.matrices))
+    c = (scale / norm) * (rng.standard_normal(model.spec.dim) + 1j * rng.standard_normal(model.spec.dim))
+    return scipy.linalg.expm(sum(ci * m for ci, m in zip(c, model.rep.matrices)))
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_stacks_match_single_rows_bit_for_bit():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    models = [load_model(name, **params) for name, params in CHECK_SUITE_MODELS]
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(range(len(models))), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def check(index, rows, seed):
+        m = models[index]
+        rng = np.random.default_rng(seed)
+        points = 0.5 * (rng.uniform(-1, 1, (rows, m.n)) + 1j * rng.uniform(-1, 1, (rows, m.n)))
+        mu0 = (0.5 + rng.uniform(0, 1.5, rows)) * np.exp(2j * np.pi * rng.uniform(size=rows))
+        covectors = np.array([c * covector_direct(m, z) for c, z in zip(mu0, points)])
+        mu, z = extract_coordinates(m, covectors)
+        for k in range(rows):
+            mu_k, z_k = extract_coordinates(m, covectors[k])
+            assert _same_bits(mu[k], mu_k) and _same_bits(z[k], z_k)
+        g = _near_identity(m, rng)
+        gs = np.array([_near_identity(m, rng) for _ in range(rows)])
+        for elements, element_of in ((g, lambda k: g), (gs, lambda k: gs[k])):
+            J, moved = group_action(m, elements, points)
+            for k in range(rows):
+                J_k, moved_k = group_action(m, element_of(k), points[k])
+                assert _same_bits(J[k], J_k) and _same_bits(moved[k], moved_k)
+
+    check()
+
+
+def _one_point_error(fn, *args):
+    with pytest.raises((PolarDivisorError, PointOffOrbitError)) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+@pytest.mark.parametrize("bad_rows", [(1, 2), (2, 1)])
+def test_stacked_extraction_raises_first_failing_row(su2_one, bad_rows):
+    good = covector_direct(su2_one, [0.3 - 0.1j])
+    polar = np.array([0.0, 1.0, 0.0])
+    off_orbit = np.array([1.0, 0.0, 1.0])  # not of the form (1, sqrt(2) z, z^2)
+    stack = np.array([good, good, good, good])
+    stack[bad_rows[0]], stack[bad_rows[1]] = off_orbit, polar
+    kind, message = _one_point_error(extract_coordinates, su2_one, stack[min(bad_rows)])
+    with pytest.raises(kind) as info:
+        extract_coordinates(su2_one, stack)
+    assert str(info.value) == message
+
+
+def test_stacked_group_action_raises_first_failing_row(su2_one, rng):
+    not_a_group_element = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    antipodal = scipy.linalg.expm((math.pi / 2) * np.array(su2_one.rep.matrices[1] - su2_one.rep.matrices[2]))
+    points = np.full((4, 1), 0.1 + 0.2j)
+    gs = np.array([np.eye(3), not_a_group_element, np.eye(3), antipodal])
+    kind, message = _one_point_error(group_action, su2_one, not_a_group_element, points[1])
+    assert kind is PointOffOrbitError
+    with pytest.raises(PointOffOrbitError) as info:
+        group_action(su2_one, gs, points)
+    assert str(info.value) == message
+    points[0] = 0.0  # the antipodal point of 0 is on the polar divisor of the base point
+    gs[0] = antipodal
+    with pytest.raises(PolarDivisorError):
+        group_action(su2_one, gs, points)
+
+
+def test_stack_shape_mismatches(su2_one):
+    d, n = su2_one.dim_rep, su2_one.n
+    with pytest.raises(ModelStructureError):
+        extract_coordinates(su2_one, np.ones((2, d + 1)))
+    with pytest.raises(ModelStructureError):
+        group_action(su2_one, np.eye(d), np.zeros((2, n + 1)))
+    with pytest.raises(ModelStructureError):
+        group_action(su2_one, np.eye(d + 1), np.zeros((2, n)))
+    with pytest.raises(ModelStructureError):
+        group_action(su2_one, np.array([np.eye(d)] * 3), np.zeros((2, n)))
+    with pytest.raises(ModelStructureError):
+        group_action(su2_one, np.array([np.eye(d)] * 2), np.zeros(n))
+
+
+def test_polar_guard_does_not_grow_with_the_orbit():
+    # max|v| / |mu| reaches 2.8e15 at ordinary points of su2 j = 100, which
+    # a guard relative to max|v| took for the polar divisor
+    m = load_model("su2", j=100)
+    z0 = np.array([0.5 - 0.5j])
+    v = (0.7 + 0.2j) * covector_direct(m, z0)
+    assert np.max(np.abs(v)) / abs(v[m.e0_index]) > 1e12
+    mu, z = extract_coordinates(m, v)
+    assert abs(mu - (0.7 + 0.2j)) < 1e-12 and np.max(np.abs(z - z0)) < 1e-12
+    assert run_checks(m, ["roundtrip"])[0]["status"] == "pass"

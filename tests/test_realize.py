@@ -11,6 +11,8 @@ from csorbit import (
     NonpolynomialRealizationError,
     OrbitModel,
     PartialTableError,
+    PointOffOrbitError,
+    PolarDivisorError,
     cocycle_residual,
     degree_report,
     diffop_apply,
@@ -204,6 +206,30 @@ def test_flow_crosscheck_heisenberg_raising(heis10):
     assert flow_crosscheck(heis10, AlgebraElement.basis(3, 1), [z0]) < 1e-6
 
 
+def test_flow_crosscheck_stack_raises_first_failing_point(su2_one, monkeypatch):
+    # point 1 fails only in its last group action (exp(-h/2 X)), point 2 in
+    # its first (exp(h X)): the one-point order reaches point 1 first
+    import csorbit.realize as realize_mod
+
+    x = AlgebraElement.basis(3, 2)
+    X = np.array(su2_one.rep.matrices[2])
+    h = 1e-4
+    failing = {1: scipy.linalg.expm(-(h / 2) * X), 2: scipy.linalg.expm(h * X)}
+    points = np.array([[0.1], [0.2], [0.3]], dtype=complex)
+    real = realize_mod.group_action
+
+    def fails_at_some_points(model, g, z):
+        for point in np.atleast_2d(z):
+            p = int(np.flatnonzero(points[:, 0] == point[0])[0])
+            if p in failing and np.array_equal(g, failing[p]):
+                raise PointOffOrbitError(f"point {p}")
+        return real(model, g, z)
+
+    monkeypatch.setattr(realize_mod, "group_action", fails_at_some_points)
+    with pytest.raises(PointOffOrbitError, match="point 1"):
+        flow_crosscheck(su2_one, x, points, h=h)
+
+
 def test_flow_crosscheck_zero_element(su2_one):
     assert flow_crosscheck(su2_one, AlgebraElement(np.zeros(3)), [0.2]) == 0
 
@@ -244,6 +270,36 @@ def test_cocycle_random_pairs(name, params, rng):
         g1, g2 = near_identity(m, rng), near_identity(m, rng)
         z = 0.3 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
         assert cocycle_residual(m, g1, g2, z) < 1e-8
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 1}), ("su3", {"p": 1, "q": 1})])
+def test_cocycle_stack_is_its_rows(name, params, rng):
+    m = load_model(name, **params)
+    g1s = np.array([near_identity(m, rng) for _ in range(6)])
+    g2s = np.array([near_identity(m, rng) for _ in range(6)])
+    points = 0.3 * (rng.standard_normal((6, m.n)) + 1j * rng.standard_normal((6, m.n)))
+    singles = [cocycle_residual(m, *row) for row in zip(g1s, g2s, points)]
+    assert cocycle_residual(m, g1s, g2s, points).tolist() == singles
+    shared = [cocycle_residual(m, g1s[0], g2s[0], z) for z in points]
+    assert cocycle_residual(m, g1s[0], g2s[0], points).tolist() == shared
+
+
+def test_cocycle_stack_raises_first_failing_pair(su2_one, rng):
+    # pair 2 fails in its second group action (onto the polar divisor),
+    # pair 3 in its first (a matrix that is not a group element)
+    J = su2_one.rep.matrices
+    antipodal = scipy.linalg.expm((np.pi / 2) * np.array(J[1] - J[2]))
+    g1s = np.array([np.eye(3)] * 4, dtype=complex)
+    g2s = g1s.copy()
+    g1s[2], g2s[2] = np.linalg.inv(antipodal), antipodal
+    g1s[3] = rng.standard_normal((3, 3))
+    points = np.zeros((4, 1), dtype=complex)
+    with pytest.raises(PolarDivisorError):
+        cocycle_residual(su2_one, g1s[2], g2s[2], points[2])
+    with pytest.raises(PointOffOrbitError):
+        cocycle_residual(su2_one, g1s[3], g2s[3], points[3])
+    with pytest.raises(PolarDivisorError):
+        cocycle_residual(su2_one, g1s, g2s, points)
 
 
 def test_degree_reports():
