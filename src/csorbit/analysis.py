@@ -145,7 +145,7 @@ def adjoint_residual(
     d_x, d_xs = (realize_generator(model, y) if table is None else table.operator(y) for y in (x, x_star))
     ff = symbol(model, f)
     fg = symbol(model, g)
-    values = DenseTable([diffop_apply(d_x, ff), fg, ff, diffop_apply(d_xs, fg)]).eval(rule.nodes[:, None])
+    values = DenseTable.from_polys([diffop_apply(d_x, ff), fg, ff, diffop_apply(d_xs, fg)]).eval(rule.nodes[:, None])
     lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
     rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
     return float(abs(lhs - rhs))

@@ -118,11 +118,14 @@ def run_checks(
     (g1, g2) for the cocycle check instead of random pairs.  A record holds
     the check, the model and its parameters, the residual (None when there
     is none), the tolerance, ``pass``, the status (pass, fail or skip) and
-    an optional note.  Raises :class:`CsorbitError` for an unknown name.
+    an optional note.  Raises :class:`CsorbitError` for an unknown name
+    or when no check is named.
     """
     unknown = [s for s in names if s not in CHECK_ORDER]
     if unknown:
         raise CsorbitError(f"unknown check(s): {', '.join(unknown)}")
+    if not names:
+        raise CsorbitError(f"no check named; choose from: {', '.join(CHECK_ORDER)}")
     names = [n for n in CHECK_ORDER if n in names]
     wants = lambda group: any(n in group for n in names)
     tol_of = lambda name: tol if tol is not None else DEFAULT_TOLS.get(name)

@@ -191,7 +191,7 @@ def _realization_records(model, table) -> list:
                     "Q": [render_poly(q) for q in op.Q],
                     "residual": table.residuals[idx],
                     "degP": op.P.degree(),
-                    "degQ": table.degree_summary[idx][1],
+                    "degQ": max((q.degree() for q in op.Q), default=-1),
                 }
             )
         else:
@@ -268,7 +268,7 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
 
 def cmd_check(args) -> tuple[int, RunReport]:
     model = _load(args)
-    names = [s.strip() for s in args.suite.split(",") if s.strip()] if args.suite else CHECK_ORDER
+    names = CHECK_ORDER if args.suite is None else [s.strip() for s in args.suite.split(",") if s.strip()]
     quad = _parse_quad(args.quad)
     results = run_checks(model, names, args.tol, quad, args.degree_cap, _cocycle_pair(model, args))
     failed = [r for r in results if r["status"] == "fail"]

@@ -8,15 +8,17 @@ series built per model is the coherent covector field, in the sum chart
 
 and in the product chart with the adjoint factors of exp(z_1 A_1) ...
 exp(z_n A_n) in reversed order.  It terminates (the chart directions are
-nilpotent on the orbit of e0), and every symbol is F_psi = omega . psi.
-The coherent vector E(z) = exp(sum_a z_a A_a) e0 (resp. the ordered
-product) is omega with conjugated coefficients, so E(conj w) =
-conj(omega(w)), and every stored object is holomorphic in z.  The kernel
-is the polynomial in 2n variables
+nilpotent on the orbit of e0).  It is built as one coefficient array C,
+omega(z) = sum_m z^m c_m with column c_m of C the Fock-space component at
+z^m, and the rest is read from C: a symbol F_psi = omega . psi has the
+coefficients psi @ C; the coherent vector E(z) = exp(sum_a z_a A_a) e0
+(resp. the ordered product) has conj(C), so E(conj w) = conj(omega(w))
+and every stored object is holomorphic in z; the kernel polynomial
 
-    K(z, w) = sum_k omega_k(z) E_k(w),
+    K(z, w) = sum_k omega_k(z) E_k(w)
 
-to be evaluated at w = conj(point) when a sesquilinear pairing is wanted.
+in 2n variables has C.T @ conj(C), and is evaluated at w = conj(point)
+when a sesquilinear pairing is wanted.
 Group elements act on covectors by right multiplication, omega(z) g =
 J(g, z) omega(g.z); with that convention the composite of g1 and g2 (g2
 acting first) is the matrix product g2 @ g1.
@@ -42,7 +44,7 @@ from .errors import (
     PolarDivisorError,
     TruncationWarning,
 )
-from .polyops import DenseTable, MultiPoly
+from .polyops import PRUNE_TOL, DenseTable, MultiPoly
 
 EXTRACT_TOL = 1e-10
 POLAR_TOL = 1e-12
@@ -50,46 +52,57 @@ POLAR_TOL = 1e-12
 
 @dataclass(eq=False)
 class PolyEntries:
-    """E(z) or omega(z), one polynomial per representation basis entry; the
-    entry at the extremal index is identically 1."""
+    """E(z) or omega(z) as one coefficient array: entry k is
+    sum_m coeffs[k, m] z^exponents[m] over the (M, n) exponents of every
+    monomial used, sorted lexicographically, so column m is the Fock-space
+    component of z^exponents[m].  The extremal entry is identically 1."""
 
-    entries: tuple[MultiPoly, ...]
+    exponents: np.ndarray
+    coeffs: np.ndarray
 
     @cached_property
     def table(self) -> DenseTable:
-        """The entries as a dense coefficient table for evaluation at
-        points; built on first use, so symbolic-only paths never build it."""
-        return DenseTable(self.entries)
+        return DenseTable(self.exponents, self.coeffs)
+
+    def poly(self, row: np.ndarray) -> MultiPoly:
+        """sum_m row[m] z^exponents[m], pruned as every MultiPoly is."""
+        return MultiPoly(self.exponents.shape[1], {tuple(self.exponents[m]): row[m] for m in np.flatnonzero(row)})
+
+    @cached_property
+    def entries(self) -> tuple[MultiPoly, ...]:
+        """The entries as polynomials, for rendering and the operator algebra."""
+        return tuple(map(self.poly, self.coeffs))
 
 
-def _exp_series(model: OrbitModel, factors, vec: list[MultiPoly]) -> list[MultiPoly]:
-    """exp(sum of z_a M_a over the (a, M_a) pairs in ``factors``) applied to
-    a symbolic vector, as a series that terminates because each M_a strictly
-    shifts the weight level."""
-    n = model.n
-    d = model.dim_rep
-    entries = list(vec)
-    term = list(vec)
-    for order in range(1, d + 2):
-        nxt = [MultiPoly.zero(n)] * d
-        for a, M in factors:
-            za = MultiPoly.variable(n, a)
-            for kk in range(d):
-                t = MultiPoly.zero(n)  # entry kk of M @ term
-                for ii in np.flatnonzero(M[kk]):
-                    if not term[ii].is_zero():
-                        t = t + M[kk, ii] * term[ii]
-                if not t.is_zero():
-                    nxt[kk] = nxt[kk] + (1.0 / order) * (za * t)
-        term = nxt
-        if all(t.is_zero() for t in term):
-            break
-        if order > d:
-            raise ModelValidationError(
-                "coherent series does not terminate within the representation dimension"
-            )
-        entries = [e + t for e, t in zip(entries, term)]
-    return entries
+def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
+    """e0^T exp(sum_a z_a mats[a]) (sum chart) or e0^T exp(z_n mats[n]) ...
+    exp(z_1 mats[1]) (product chart) as one array.  The order-k term maps
+    each monomial's coefficient row to row @ mats[a] / k at that monomial
+    times z_a, summed over the factors and pruned at ``PRUNE_TOL``; it ends
+    because each matrix strictly shifts the weight level."""
+    n, d = model.n, model.dim_rep
+    expos, rows = np.zeros((1, n), dtype=int), np.eye(1, d, model.e0_index, dtype=complex)
+    for group in filter(None, [range(n)] if model.chart == "sum" else [[a] for a in reversed(range(n))]):
+        terms = [(expos, rows)]
+        for order in range(1, d + 2):
+            term_e, term_r = terms[-1]
+            shifted = np.concatenate([term_e + np.eye(n, dtype=int)[a] for a in group])
+            # one vector-matrix product per monomial and factor, times 1 / order
+            # rather than divided by it: the recorded reports were computed so
+            products = np.array([row @ mats[a] for a in group for row in term_r]) * (1.0 / order)
+            term_e, where = np.unique(shifted, axis=0, return_inverse=True)
+            term_r = np.zeros((len(term_e), d), dtype=complex)
+            np.add.at(term_r, where.reshape(-1), products)  # adding to 0j also clears signed zeros
+            term_r[np.abs(term_r) < PRUNE_TOL] = 0
+            kept = term_r.any(axis=1)
+            if not kept.any():
+                break
+            if order > d:
+                raise ModelValidationError("coherent series does not terminate within the representation dimension")
+            terms.append((term_e[kept], term_r[kept]))
+        expos, rows = (np.concatenate(part) for part in zip(*terms))
+    expos, sort = np.unique(expos, axis=0, return_index=True)  # sorted, as DenseTable.from_polys sorts
+    return PolyEntries(expos, np.ascontiguousarray(rows[sort].T))
 
 
 # -- chart functionals -------------------------------------------------------
@@ -143,34 +156,23 @@ class DerivedData:
 
     @cached_property
     def covector(self) -> PolyEntries:
-        """omega: the chart series over B_a.T (row @ B == B.T @ column)
-        applied to e0, as the single exponential of sum_a z_a B_a.T for the
-        sum chart and as exp(z_1 B_1.T) ... exp(z_n B_n.T) (rightmost factor
-        first) for the product chart."""
-        model = self.model
-        factors = list(enumerate(b.T for b in self.chart[1]))
-        vec = [MultiPoly.zero(model.n)] * model.dim_rep
-        vec[model.e0_index] = MultiPoly.constant(model.n, 1.0)
-        for group in [factors] if model.chart == "sum" else [[f] for f in reversed(factors)]:
-            vec = _exp_series(model, group, vec)
-        return PolyEntries(tuple(vec))
+        """omega: the chart series over the B_a, e0^dagger exp(sum_a z_a
+        B_a) for the sum chart and e0^dagger exp(z_n B_n) ... exp(z_1 B_1)
+        for the product chart."""
+        return _exp_series(self.model, self.chart[1])
 
     @cached_property
     def vector(self) -> PolyEntries:
-        """E: omega's entries with conjugated coefficients, the series over
-        B_a.T = conj(A_a) being the conjugate of the one over A_a.  Points
-        read omega's table instead, E(conj w) being conj(omega(w))."""
-        conj = lambda p: MultiPoly(p.nvars, {e: c.conjugate() for e, c in p.terms.items()})
-        return PolyEntries(tuple(conj(om) for om in self.covector.entries))
+        """E: omega's array conjugated, the series over conj(B_a) = A_a.T.
+        Points read omega's table instead, E(conj w) being conj(omega(w))."""
+        return PolyEntries(self.covector.exponents, np.conj(self.covector.coeffs))
 
     @cached_property
     def kernel(self) -> MultiPoly:
-        n = self.model.n
-        total = MultiPoly.zero(2 * n)
-        for ok, ek in zip(self.covector.entries, self.vector.entries):
-            if not ok.is_zero():
-                total = total + ok.embed(2 * n, 0) * ek.embed(2 * n, n)
-        return total
+        """K(z, w), whose coefficient at z^e w^f is entry (e, f) of C.T @ conj(C)."""
+        expos, C = self.covector.exponents, self.covector.coeffs
+        K = C.T @ np.conj(C)
+        return MultiPoly(2 * self.model.n, {(*expos[i], *expos[j]): K[i, j] for i, j in zip(*np.nonzero(K))})
 
 
 def coherent_vector(model: OrbitModel) -> PolyEntries:
@@ -197,7 +199,7 @@ def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -
     Computed as the defining sum omega(z) . E(conj w) = omega(z) .
     conj(omega(w)) on omega's dense table, which is how every kernel value
     in the package is evaluated.  The polynomial ``kernel(model)`` expands
-    the same sum but drops each product coefficient below
+    the same sum but drops each coefficient of C.T @ conj(C) below
     ``polyops.PRUNE_TOL``: on heisenberg with ``trunc >= 17`` the terms
     (z conj w)^k / k! for k = 17..26, about 1e-6 relative at |z| = |w| = 2.
     A value that overflows raises :class:`DegeneratePointError`."""

@@ -115,9 +115,6 @@ class MultiPoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __abs__(self) -> "MultiPoly":
         """Same monomials, coefficient magnitudes."""
         return MultiPoly(self.nvars, {e: abs(c) for e, c in self.terms.items()})
@@ -136,16 +133,6 @@ class MultiPoly:
             out += val
         return out
 
-    def embed(self, nvars: int, offset: int = 0) -> "MultiPoly":
-        """Reinterpret in a larger variable set, variable i -> i + offset."""
-        if offset < 0 or offset + self.nvars > nvars:
-            raise ValueError("embedding does not fit")
-        acc = {}
-        for e, c in self.terms.items():
-            key = (0,) * offset + e + (0,) * (nvars - offset - self.nvars)
-            acc[key] = c
-        return MultiPoly(nvars, acc)
-
     def __repr__(self):
         return f"MultiPoly({render_poly(self)})"
 
@@ -156,9 +143,10 @@ class DenseTable:
     sum_m coeffs[k, m] * z^exponents[m].
 
     ``exponents`` is an (M, nvars) int array of the monomials used by any
-    entry, ``coeffs`` the (d, M) complex matrix.  Evaluating at a point is
-    one gather from a table of coordinate powers and one matrix-vector
-    product, instead of a sparse loop per entry.
+    entry, sorted lexicographically, and ``coeffs`` the C-contiguous (d, M)
+    complex matrix; both are used as given.  Evaluating at a point is one
+    gather from a table of coordinate powers and one matrix-vector product,
+    instead of a sparse loop per entry.
 
     A stack of points is evaluated in blocks of rows into one (N, d)
     output, sized so that each temporary (power table, gathered monomials,
@@ -170,20 +158,26 @@ class DenseTable:
 
     __slots__ = ("nvars", "exponents", "coeffs", "_block_rows", "_powers")
 
-    def __init__(self, polys: Sequence[MultiPoly]):
-        self.nvars = polys[0].nvars
-        expos = sorted({e for p in polys for e in p.terms})
-        column = {e: m for m, e in enumerate(expos)}
-        self.exponents = np.array(expos, dtype=int).reshape(len(expos), self.nvars)
-        self.coeffs = np.zeros((len(polys), len(expos)), dtype=complex)
-        for k, p in enumerate(polys):
-            for e, c in p.terms.items():
-                self.coeffs[k, column[e]] = c
-        top = int(self.exponents.max()) if self.exponents.size else 0
+    def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
+        self.nvars = exponents.shape[1]
+        self.exponents = exponents
+        self.coeffs = coeffs
+        top = int(exponents.max()) if exponents.size else 0
         self._powers = np.arange(top + 1)
         # complex entries per point of the largest temporary
-        row_items = max(self.nvars * (top + 1), self.exponents.size, len(polys))
+        row_items = max(self.nvars * (top + 1), exponents.size, len(coeffs))
         self._block_rows = max(1, _BLOCK_BYTES // (16 * row_items))
+
+    @classmethod
+    def from_polys(cls, polys: Sequence[MultiPoly]) -> "DenseTable":
+        """The table of a non-empty sequence of polynomials."""
+        expos = sorted({e for p in polys for e in p.terms})
+        column = {e: m for m, e in enumerate(expos)}
+        coeffs = np.zeros((len(polys), len(expos)), dtype=complex)
+        for k, p in enumerate(polys):
+            for e, c in p.terms.items():
+                coeffs[k, column[e]] = c
+        return cls(np.array(expos, dtype=int).reshape(len(expos), polys[0].nvars), coeffs)
 
     def eval(self, points: Sequence[complex] | np.ndarray) -> np.ndarray:
         """All entries at one point, (nvars,) -> (d,), or at each of a stack

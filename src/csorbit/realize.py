@@ -53,16 +53,14 @@ class RealizationTable:
     """Realized operators per algebra basis index.
 
     ``residuals`` holds each accepted generator's relative intertwining
-    defect (see :func:`_intertwining_defect`), ``degree_summary`` maps index
-    to (deg P, max deg Q), and ``failures`` says why a generator's closed
-    form was rejected (defect above the tolerance or degree above the cap),
-    which also marks the table partial.
+    defect (see :func:`_intertwining_defect`), and ``failures`` says why a
+    generator's closed form was rejected (defect above the tolerance or
+    degree above the cap), which also marks the table partial.
     """
 
     labels: tuple[str, ...]
     entries: dict[int, DiffOp1] = field(default_factory=dict)
     residuals: dict[int, float] = field(default_factory=dict)
-    degree_summary: dict[int, tuple[int, int]] = field(default_factory=dict)
     failures: dict[int, str] = field(default_factory=dict)
 
     @property
@@ -86,8 +84,8 @@ def symbol(model: OrbitModel, psi: Sequence[complex]) -> MultiPoly:
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[0]} != dim_rep {model.dim_rep}")
-    omega = coherent_covector(model).entries
-    return sum((psi[k] * omega[k] for k in np.flatnonzero(psi)), MultiPoly.zero(model.n))
+    omega = coherent_covector(model)
+    return omega.poly(psi @ omega.coeffs)
 
 
 def _closed_form(model: OrbitModel, X: np.ndarray) -> DiffOp1:
@@ -181,7 +179,6 @@ def realize_all(
         if reason is None:
             table.entries[idx] = op
             table.residuals[idx] = defect
-            table.degree_summary[idx] = _degrees(op)
         else:
             table.failures[idx] = reason
     return table
@@ -238,7 +235,7 @@ def flow_crosscheck(
     points = np.atleast_2d(np.asarray(z0, dtype=complex))
     X = derived_matrix(model, x)
     op = realize_generator(model, x) if table is None else table.operator(x)
-    realized = DenseTable([op.P, *op.Q]).eval(points)
+    realized = DenseTable.from_polys([op.P, *op.Q]).eval(points)
     flows = [(s, scipy.linalg.expm(s * X), scipy.linalg.expm(-s * X)) for s in (h, h / 2)]
 
     def central(z, s, g_plus, g_minus):

@@ -79,7 +79,7 @@ def test_parseval_gram_values_match_gaussian_moments(heis10):
 
     rule = quadrature_rule(heis10, 64, 64)
     pts = rule.nodes.reshape(-1, 1)
-    v3, v5 = DenseTable([symbol(heis10, np.eye(11)[3]), symbol(heis10, np.eye(11)[5])]).eval(pts).T
+    v3, v5 = DenseTable.from_polys([symbol(heis10, np.eye(11)[3]), symbol(heis10, np.eye(11)[5])]).eval(pts).T
     assert np.sum(rule.weights * v3.conj() * v3) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.sum(rule.weights * v3.conj() * v5)) < 1e-12
     raw = np.sum(rule.weights * np.conj(pts[:, 0] ** 3) * pts[:, 0] ** 3)

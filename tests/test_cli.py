@@ -377,6 +377,8 @@ def _input_files(tmp_path) -> dict:
         pytest.param(["check", "--model-file", "{domain_type_list}"], id="model-file-domain-list"),
         pytest.param(["check", "--model-file", "{adjoint_pairs_bool}"], id="model-file-adjoint-pairs-bool"),
         pytest.param(["check", "--model-file", "{measure_param_null}"], id="model-file-measure-param-null"),
+        pytest.param(["check", "--model", "su2", "--suite", ",,"], id="suite-names-no-check"),
+        pytest.param(["check", "--model", "su2", "--suite", ""], id="suite-empty"),
     ],
 )
 def test_malformed_input_exits_2(argv, tmp_path, capsys):

@@ -24,6 +24,7 @@ from csorbit import (
     kernel_eval,
     load_model,
     max_coeff_diff,
+    model_from_dict,
     model_to_dict,
     normalization,
     polar_check,
@@ -41,6 +42,21 @@ ALL_MODELS = [
     ("su3", {"p": 1, "q": 1}),
     ("su3", {"p": 2, "q": 1}),
 ]
+# su3(1,1) in the sum chart: the one case (n >= 2, single exponential) where
+# several chart factors add terms to the same exponent in one series order
+SU3_SUM_CHART = ("su3", {"p": 1, "q": 1, "chart": "sum"})
+
+
+def _load(name, params):
+    """load_model, with an optional "chart" entry replacing the model's chart."""
+    params = dict(params)
+    chart = params.pop("chart", None)
+    m = load_model(name, **params)
+    if chart is None:
+        return m
+    data = model_to_dict(m)
+    data["chart"] = chart
+    return model_from_dict(data)
 
 
 def test_spin_half_vectors(su2_half):
@@ -188,10 +204,10 @@ def _expm_covector(m, z):
 
 
 @pytest.mark.parametrize("covector", [covector_numeric, covector_direct], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("name,params", ALL_MODELS)
+@pytest.mark.parametrize("name,params", ALL_MODELS + [SU3_SUM_CHART])
 def test_covector_matches_expm(name, params, covector, rng):
-    # ALL_MODELS has sum-chart (rank one) and product-chart (su3) models
-    m = load_model(name, **params)
+    # sum-chart (rank one and su3) and product-chart (su3) models
+    m = _load(name, params)
     for _ in range(5):
         z = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
         ref = _expm_covector(m, z)
@@ -200,15 +216,9 @@ def test_covector_matches_expm(name, params, covector, rng):
 
 
 def _series_over_lowering_matrices(m):
-    """E as the chart series over the A_a themselves, built apart from omega."""
-    A = m.derived.chart[0]
-    vec = [MultiPoly.zero(m.n)] * m.dim_rep
-    vec[m.e0_index] = MultiPoly.constant(m.n, 1.0)
-    if m.chart == "sum":
-        return orbit_mod._exp_series(m, list(enumerate(A)), vec)
-    for a in range(m.n - 1, -1, -1):
-        vec = orbit_mod._exp_series(m, [(a, A[a])], vec)
-    return vec
+    """E as the chart series over the A_a themselves (the row recursion
+    row -> row @ A_a.T), built apart from omega."""
+    return orbit_mod._exp_series(m, [a.T for a in m.derived.chart[0]]).entries
 
 
 def _bits(p, conjugate=False):
@@ -284,9 +294,9 @@ def test_kernel_at_overflowing_point_is_an_error(name, params, z):
         normalization(m, z)
 
 
-@pytest.mark.parametrize("name,params", ALL_MODELS)
+@pytest.mark.parametrize("name,params", ALL_MODELS + [SU3_SUM_CHART])
 def test_kernel_eval_matches_kernel_polynomial(name, params, rng):
-    m = load_model(name, **params)
+    m = _load(name, params)
     kp = kernel(m)
     for _ in range(5):
         z = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
