@@ -411,10 +411,9 @@ def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
     """Covector field omega(z) at a point, read from the dense table of the
     model's symbolic series (``orbit.coherent_covector``).
 
-    It equals :func:`covector_direct` up to rounding, except where the
-    series dropped a coefficient below ``polyops.PRUNE_TOL``: on heisenberg
-    with ``trunc >= 27`` the entries k >= 27 (coefficient 1/sqrt(k!)) read
-    0, which matters at |z| of a few units."""
+    It equals :func:`covector_direct` up to rounding: the series drops
+    only coefficients that are cancellation residue (``orbit.SERIES_ULPS``),
+    so heisenberg's entries 1/sqrt(k!) are kept however small."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != model.n:
         raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")

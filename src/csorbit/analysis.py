@@ -29,8 +29,8 @@ from scipy.special import roots_jacobi
 from .algebra import AlgebraElement, MeasureSpec, OrbitModel
 from .errors import UnsupportedCheckError
 from .orbit import coherent_covector
-from .polyops import DenseTable, diffop_apply
-from .realize import RealizationTable, realize_generator, symbol
+from .polyops import DenseTable, diffop_array
+from .realize import RealizationTable, realize_generator
 
 QUAD_RADIAL = 64
 QUAD_ANGULAR = 64
@@ -132,7 +132,10 @@ def adjoint_residual(
     where x* is built from the model's declared adjoint pairs
     (coefficientwise: conj(c_i) lands on the partner of basis index i).
     A complete ``table`` of the model supplies D_x and D_{x*} instead of
-    realizing them again."""
+    realizing them again.  The four symbols share one exponent table: D_x
+    F_f is (f @ C) @ A_x with A_x D_x's array on omega's exponents
+    (:func:`polyops.diffop_array`), and D_{x*} F_g uses D_{x*}'s array on
+    A_x's output table, which starts with omega's exponents."""
     if model.adjoint_pairs is None:
         raise UnsupportedCheckError(
             f"model {model.describe()} declares no adjoint pairs"
@@ -143,9 +146,16 @@ def adjoint_residual(
             coeffs[model.adjoint_pairs[i]] += np.conj(c)
     x_star = AlgebraElement(coeffs)
     d_x, d_xs = (realize_generator(model, y) if table is None else table.operator(y) for y in (x, x_star))
-    ff = symbol(model, f)
-    fg = symbol(model, g)
-    values = DenseTable.from_polys([diffop_apply(d_x, ff), fg, ff, diffop_apply(d_xs, fg)]).eval(rule.nodes[:, None])
+    omega = coherent_covector(model)
+    f_sym, g_sym = np.array([f, g], dtype=complex) @ omega.coeffs
+    expos_x, A_x, _ = diffop_array(d_x, omega.exponents)
+    expos, A_xs, _ = diffop_array(d_xs, expos_x)
+    symbols = np.zeros((4, len(expos)), dtype=complex)
+    symbols[0, : len(expos_x)] = f_sym @ A_x
+    symbols[1, : len(g_sym)] = g_sym
+    symbols[2, : len(f_sym)] = f_sym
+    symbols[3] = symbols[1, : len(expos_x)] @ A_xs
+    values = DenseTable(expos, symbols).eval(rule.nodes[:, None])
     lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
     rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
     return float(abs(lhs - rhs))

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from . import analysis, orbit, realize
-from .algebra import AlgebraElement, OrbitModel, covector_direct, validate_model
+from .algebra import AlgebraElement, OrbitModel, covector_direct, derived_matrix, validate_model
 from .catalog import DEGREE_TARGETS
 from .errors import CsorbitError, UnsupportedCheckError
 
@@ -54,11 +54,10 @@ COCYCLE_PAIRS = 50
 ROUNDTRIP_DRAWS = 20
 REPRODUCING_DRAWS = 5
 RNG_SEED = 20240801
-# The cocycle check acts on its pairs in blocks, so that each stack of group
-# elements (g1, g2 and their products) stays within this many bytes: one
-# block for every model up to d = 102, and at most 24 MiB of stacks however
-# large the representation (all 50 pairs at once would take 2.5 GB at
-# d = 1,024).
+# The cocycle check acts on its pairs in blocks, so that each stack of
+# generators (of g1 and of g2) stays within this many bytes: one block for
+# every model up to d = 102, and a few such stacks at a time however large
+# the representation (all 50 pairs at once would take 2.5 GB at d = 1,024).
 STACK_BYTES = 8 * 2**20
 
 # the validate_model metrics whose maximum each validation check reports
@@ -75,13 +74,8 @@ def _random_point(rng, model, radius):
     return radius * (rng.uniform(-1, 1, model.n) + 1j * rng.uniform(-1, 1, model.n))
 
 
-def _random_group_element(rng, model, scale=0.15):
-    # near identity in the representation: normalize by the matrix scale
-    norm = max(1.0, max(float(np.max(np.abs(m))) for m in model.rep.matrices))
-    coeffs = (scale / norm) * (
-        rng.standard_normal(model.spec.dim) + 1j * rng.standard_normal(model.spec.dim)
-    )
-    return orbit.group_element(model, AlgebraElement(coeffs))
+def _random_element(rng, model, scale):
+    return AlgebraElement(scale * (rng.standard_normal(model.spec.dim) + 1j * rng.standard_normal(model.spec.dim)))
 
 
 def _random_block_vector(rng, model):
@@ -172,17 +166,22 @@ def run_checks(
                 residuals.append(realize.flow_crosscheck(model, x, points, table=table))
             return _measured(float(np.max(residuals)), check_tol)
         if name == "cocycle":
-            pairs = COCYCLE_PAIRS if cocycle_pair is None else 5
+            if cocycle_pair is not None:
+                points = np.array([_random_point(rng, model, 0.3) for _ in range(5)])
+                return _measured(float(np.max(realize.cocycle_residual(model, *cocycle_pair, points))), check_tol)
+            # each pair acts on its point by its generators A1 and A2, drawn
+            # near 0 relative to the matrix scale
+            scale = 0.15 / max(1.0, max(float(np.max(np.abs(m))) for m in model.rep.matrices))
             d = model.dim_rep
             block = max(1, STACK_BYTES // (16 * d * d))
             residuals = []
-            for start in range(0, pairs, block):
-                g1s, g2s = np.empty((2, min(block, pairs - start), d, d), dtype=complex)
-                points = np.empty((len(g1s), model.n), dtype=complex)
-                for k in range(len(g1s)):
-                    g1s[k], g2s[k] = cocycle_pair or [_random_group_element(rng, model) for _ in range(2)]
+            for start in range(0, COCYCLE_PAIRS, block):
+                A1s, A2s = np.empty((2, min(block, COCYCLE_PAIRS - start), d, d), dtype=complex)
+                points = np.empty((len(A1s), model.n), dtype=complex)
+                for k in range(len(A1s)):
+                    A1s[k], A2s[k] = (derived_matrix(model, _random_element(rng, model, scale)) for _ in range(2))
                     points[k] = _random_point(rng, model, 0.3)
-                residuals.extend(realize.cocycle_residual(model, g1s, g2s, points))
+                residuals.extend(realize.cocycle_residual(model, orbit.Exp(A1s), orbit.Exp(A2s), points))
             return _measured(float(np.max(residuals)), check_tol)
         if name == "roundtrip":
             # the reference covectors come from the chart matrices, not from

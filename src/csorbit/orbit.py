@@ -21,7 +21,9 @@ in 2n variables has C.T @ conj(C), and is evaluated at w = conj(point)
 when a sesquilinear pairing is wanted.
 Group elements act on covectors by right multiplication, omega(z) g =
 J(g, z) omega(g.z); with that convention the composite of g1 and g2 (g2
-acting first) is the matrix product g2 @ g1.
+acting first) is the matrix product g2 @ g1.  An element exp(A) may also be
+given by its generator, :class:`Exp`, and then acts on the rows by
+:func:`act` without its matrix being formed.
 """
 
 from __future__ import annotations
@@ -48,6 +50,9 @@ from .polyops import PRUNE_TOL, DenseTable, MultiPoly
 
 EXTRACT_TOL = 1e-10
 POLAR_TOL = 1e-12
+# The series drops a coefficient only when it is at most this many ulps of
+# the magnitudes summed into it: cancellation residue, not a small term.
+SERIES_ULPS = 64
 
 
 @dataclass(eq=False)
@@ -65,7 +70,8 @@ class PolyEntries:
         return DenseTable(self.exponents, self.coeffs)
 
     def poly(self, row: np.ndarray) -> MultiPoly:
-        """sum_m row[m] z^exponents[m], pruned as every MultiPoly is."""
+        """sum_m row[m] z^exponents[m], pruned at ``PRUNE_TOL`` as every
+        MultiPoly is."""
         return MultiPoly(self.exponents.shape[1], {tuple(self.exponents[m]): row[m] for m in np.flatnonzero(row)})
 
     @cached_property
@@ -78,9 +84,14 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
     """e0^T exp(sum_a z_a mats[a]) (sum chart) or e0^T exp(z_n mats[n]) ...
     exp(z_1 mats[1]) (product chart) as one array.  The order-k term maps
     each monomial's coefficient row to row @ mats[a] / k at that monomial
-    times z_a, summed over the factors and pruned at ``PRUNE_TOL``; it ends
-    because each matrix strictly shifts the weight level."""
+    times z_a, summed over the factors.  Beside each coefficient the series
+    sums the magnitudes |row| @ |mats[a]| / k it adds up, and drops the
+    coefficient when it is at most ``SERIES_ULPS`` ulps of them, which
+    removes cancellation residue but keeps a small term such as heisenberg's
+    1 / sqrt(k!).  It ends because each matrix strictly shifts the weight
+    level."""
     n, d = model.n, model.dim_rep
+    sizes = [np.abs(m) for m in mats]
     expos, rows = np.zeros((1, n), dtype=int), np.eye(1, d, model.e0_index, dtype=complex)
     for group in filter(None, [range(n)] if model.chart == "sum" else [[a] for a in reversed(range(n))]):
         terms = [(expos, rows)]
@@ -90,10 +101,13 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
             # one vector-matrix product per monomial and factor, times 1 / order
             # rather than divided by it: the recorded reports were computed so
             products = np.array([row @ mats[a] for a in group for row in term_r]) * (1.0 / order)
+            magnitudes = np.concatenate([np.abs(term_r) @ sizes[a] for a in group]) * (1.0 / order)
             term_e, where = np.unique(shifted, axis=0, return_inverse=True)
             term_r = np.zeros((len(term_e), d), dtype=complex)
+            term_m = np.zeros(term_r.shape)
             np.add.at(term_r, where.reshape(-1), products)  # adding to 0j also clears signed zeros
-            term_r[np.abs(term_r) < PRUNE_TOL] = 0
+            np.add.at(term_m, where.reshape(-1), magnitudes)
+            term_r[np.abs(term_r) <= SERIES_ULPS * np.finfo(float).eps * term_m] = 0
             kept = term_r.any(axis=1)
             if not kept.any():
                 break
@@ -201,7 +215,7 @@ def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -
     in the package is evaluated.  The polynomial ``kernel(model)`` expands
     the same sum but drops each coefficient of C.T @ conj(C) below
     ``polyops.PRUNE_TOL``: on heisenberg with ``trunc >= 17`` the terms
-    (z conj w)^k / k! for k = 17..26, about 1e-6 relative at |z| = |w| = 2.
+    (z conj w)^k / k! for k >= 17, about 1e-6 relative at |z| = |w| = 2.
     A value that overflows raises :class:`DegeneratePointError`."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
@@ -324,11 +338,74 @@ def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.nda
     return mu, Z
 
 
+@dataclass(frozen=True)
+class Exp:
+    """The group element exp(A) by its generator, one (d, d) matrix or an
+    (N, d, d) stack, applied to rows by :func:`act` without being formed."""
+
+    A: np.ndarray
+
+    @property
+    def ndim(self) -> int:
+        return np.ndim(self.A)
+
+    def __getitem__(self, k) -> "Exp":
+        return Exp(self.A[k])
+
+
+def act(rows: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """rows @ exp(A) for (N, d) rows (or one row) and one (d, d) generator,
+    or an (N, d, d) stack applied row by row; each row is bit for bit its
+    one-row result.  A Taylor series (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33, 2011): with s the 1-norm of v -> v @ A (A's largest absolute
+    row sum) rounded up, exp(A / s) is applied s times, each summed until
+    every row's term is at most one ulp of its sum (in its largest real or
+    imaginary part); so the work grows with s."""
+    rows = np.asarray(rows, dtype=complex)
+    A = np.asarray(A, dtype=complex)
+    norms = np.abs(A).sum(axis=-1).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("generator is not finite")
+    steps = np.broadcast_to(np.ceil(np.maximum(norms, 1.0)), rows.shape[:-1])
+    size = lambda v: np.max(np.abs(v.view(float)), axis=-1)  # the largest real or imaginary part
+    out = rows.copy()
+    for step in range(int(steps.max(initial=0))):
+        term, total, going, k = out, out.copy(), steps > step, 0
+        while going.any():
+            k += 1
+            # row by row, in the shape one row alone takes
+            term = (term[..., None, :] @ A)[..., 0, :] / (k * steps)[..., None]
+            np.add(total, term, out=total, where=going[..., None])
+            going &= size(term) > np.finfo(float).eps * size(total)
+        out = total
+    return out
+
+
+def moved_covector(model: OrbitModel, g: np.ndarray | Exp, z: Sequence[complex] | np.ndarray) -> np.ndarray:
+    """omega(z) g, one covector or an (N, d) stack, checked and computed as
+    :func:`group_action` does before extracting coordinates."""
+    z = np.asarray(z, dtype=complex)
+    d = model.dim_rep
+    gen = np.asarray(g.A if isinstance(g, Exp) else g, dtype=complex)
+    if z.ndim == 2:
+        if z.shape[1] != model.n:
+            raise ModelStructureError(f"expected points with {model.n} coordinates, got {z.shape[1]}")
+        if gen.shape not in ((d, d), (len(z), d, d)):
+            raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(z)} of them")
+        rows = coherent_covector(model).table.eval(z)
+        return act(rows, gen) if isinstance(g, Exp) else (rows[:, None, :] @ gen)[:, 0]
+    if gen.shape != (d, d):
+        raise ModelStructureError(f"group element must be {d} x {d}")
+    row = covector_numeric(model, z)
+    return act(row, gen) if isinstance(g, Exp) else row @ gen
+
+
 def group_action(
-    model: OrbitModel, g: np.ndarray, z: Sequence[complex] | np.ndarray
+    model: OrbitModel, g: np.ndarray | Exp, z: Sequence[complex] | np.ndarray
 ) -> tuple[complex | np.ndarray, np.ndarray]:
     """Transform a chart point by a group element given as its d x d
-    representation matrix: omega(z) g = J omega(z'), returning (J, z').
+    representation matrix, or as its generator (:class:`Exp`):
+    omega(z) g = J omega(z'), returning (J, z').
 
     J is the multiplier (cocycle) value; composites obey
     J(g1 o g2, z) = J(g1, g2.z) J(g2, z) when the composite g1 o g2 is the
@@ -340,25 +417,21 @@ def group_action(
     an error is the one-point error of the first failing row (see
     :func:`extract_coordinates`).
     """
-    g = np.asarray(g, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    d = model.dim_rep
-    if z.ndim == 2:
-        if z.shape[1] != model.n:
-            raise ModelStructureError(f"expected points with {model.n} coordinates, got {z.shape[1]}")
-        if g.shape not in ((d, d), (len(z), d, d)):
-            raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(z)} of them")
-        rows = (coherent_covector(model).table.eval(z)[:, None, :] @ g)[:, 0]
-        return extract_coordinates(model, rows)
-    if g.shape != (d, d):
-        raise ModelStructureError(f"group element must be {d} x {d}")
-    row = covector_numeric(model, z) @ g
-    return extract_coordinates(model, row)
+    return extract_coordinates(model, moved_covector(model, g, z))
 
 
 def group_element(model: OrbitModel, x: AlgebraElement, t: complex = 1.0) -> np.ndarray:
     """Representation matrix exp(t dT(x)): one-parameter subgroup element."""
     return scipy.linalg.expm(complex(t) * derived_matrix(model, x))
+
+
+def _kernel_scale(model: OrbitModel, z: np.ndarray, w: np.ndarray) -> float:
+    """The largest term |K_ef z^e conj(w)^f| of the kernel polynomial at
+    (z, conj w), over its terms as arrays."""
+    terms = kernel(model).terms
+    expos = np.array(list(terms), dtype=int).reshape(len(terms), -1)
+    magnitudes = np.abs(np.fromiter(terms.values(), complex, len(terms)))
+    return float(np.max(magnitudes * np.prod(np.abs(np.concatenate([z, w])) ** expos, axis=1), initial=0.0))
 
 
 def polar_check(
@@ -369,14 +442,7 @@ def polar_check(
     val = abs(kernel_eval(model, z, w))
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
-    point = list(z) + list(np.conj(w))
-    scale = 0.0
-    for expo, coeff in kernel(model).terms.items():
-        mag = abs(coeff)
-        for pi, ei in zip(point, expo):
-            if ei:
-                mag *= abs(pi) ** ei
-        scale = max(scale, mag)
+    scale = _kernel_scale(model, z, w)
     hit = bool(val < tol * max(scale, tol))
     if hit and model.rep.truncated:
         warnings.warn(

@@ -259,6 +259,39 @@ def diffop_apply(D: DiffOp1, f: MultiPoly) -> MultiPoly:
     return out
 
 
+def diffop_array(D: DiffOp1, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """D on the monomials z^e_m of an (M, n) exponent table: (out, A, S)
+    with the (M', n) output exponents (the M input ones first, in order),
+    the (M, M') array with D z^e_m = sum_m' A[m, m'] z^out[m'], so that
+    coefficients c on the table map to c @ A, and the real array S summing
+    the magnitudes of the terms each entry of A adds up."""
+    M, n = exponents.shape
+    # seeded with empty arrays, so that the zero operator concatenates too
+    images, rows, values = [exponents], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
+    for e, c in D.P.terms.items():
+        images.append(exponents + e)
+        rows.append(np.arange(M))
+        values.append(np.full(M, c))
+    for i, q in enumerate(D.Q):
+        has = np.flatnonzero(exponents[:, i])
+        lowered = exponents[has] - np.eye(n, dtype=int)[i]
+        for e, c in q.terms.items():
+            images.append(lowered + e)
+            rows.append(has)
+            values.append(c * exponents[has, i])
+    unique, first, where = np.unique(np.concatenate(images), axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # by first appearance: the input exponents come first
+    column = np.empty_like(order)
+    column[order] = np.arange(len(order))
+    index = (np.concatenate(rows), column[where.reshape(-1)[M:]])
+    vals = np.concatenate(values)
+    A = np.zeros((M, len(order)), dtype=complex)
+    S = np.zeros(A.shape)
+    np.add.at(A, index, vals)
+    np.add.at(S, index, np.abs(vals))
+    return unique[order], A, S
+
+
 def diffop_commutator(D1: DiffOp1, D2: DiffOp1) -> DiffOp1:
     """Commutator [D1, D2] of two first-order operators.
 

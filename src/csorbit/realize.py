@@ -24,21 +24,19 @@ the cap.  A rejected generator is reported as a first-class error.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .algebra import AlgebraElement, OrbitModel, derived_matrix
 from .errors import CsorbitError, NonpolynomialRealizationError, PartialTableError
-from .orbit import coherent_covector, group_action
+from .orbit import Exp, act, coherent_covector, extract_coordinates, group_action, moved_covector
 from .polyops import (
     DenseTable,
     DiffOp1,
     MultiPoly,
-    diffop_apply,
+    diffop_array,
     diffop_commutator,
     max_coeff_diff,
 )
@@ -106,26 +104,27 @@ def _closed_form(model: OrbitModel, X: np.ndarray) -> DiffOp1:
 
 def _intertwining_defect(model: OrbitModel, op: DiffOp1, X: np.ndarray) -> tuple[float, float]:
     """Max coefficientwise defect of D F_{b_k} = F_{X b_k} over all basis
-    vectors b_k.  Each monomial's defect is divided by its scale: the summed
-    magnitudes of the terms that both sides add up at that monomial, floored
-    at 1, which bounds the rounding there.  Truncated models count only
-    monomials in the artifact-free degree block.  Returns the worst relative
-    defect and the scale of its monomial."""
-    omega = coherent_covector(model).entries
-    size = DiffOp1(abs(op.P), [abs(q) for q in op.Q])
-    limit = model.rep.block_dim if model.rep.truncated else math.inf
-    worst = (0.0, 1.0)
-    for k in range(model.dim_rep):
-        diff = diffop_apply(op, omega[k]) - symbol(model, X[:, k])
-        # a scale is at least 1, so only defects above the worst so far need one
-        defects = {e: abs(c) for e, c in diff.terms.items() if sum(e) <= limit and abs(c) > worst[0]}
-        if defects:
-            rhs = (abs(X[j, k] * omega[j]) for j in np.flatnonzero(X[:, k]))
-            terms = diffop_apply(size, abs(omega[k])) + sum(rhs, MultiPoly.zero(model.n))
-            for e, d in defects.items():
-                scale = max(1.0, terms.terms.get(e, 0j).real)
-                worst = max(worst, (d / scale, scale))
-    return worst
+    vectors b_k: with (A, S) D's arrays on omega's exponents
+    (:func:`polyops.diffop_array`), the rows of C @ A against those of
+    X.T @ C.  Each monomial's defect is divided by its scale
+    |C| @ S + |X|.T @ |C|, the summed magnitudes of the terms both sides add
+    up there, floored at 1, which bounds the rounding there.  Truncated
+    models count only monomials in the artifact-free degree block.  Returns
+    the worst relative defect and the scale of its monomial."""
+    omega = coherent_covector(model)
+    C, M = omega.coeffs, omega.coeffs.shape[1]
+    expos, A, S = diffop_array(op, omega.exponents)
+    defect = C @ A
+    defect[:, :M] -= X.T @ C
+    scale = np.abs(C) @ S
+    scale[:, :M] += np.abs(X).T @ np.abs(C)
+    relative = np.abs(defect) / np.maximum(scale, 1.0)
+    if model.rep.truncated:
+        relative[:, expos.sum(axis=1) > model.rep.block_dim] = 0
+    worst = np.unravel_index(np.argmax(relative), relative.shape)  # a NaN is found first
+    if relative[worst] == 0:
+        return 0.0, 1.0
+    return float(relative[worst]), max(1.0, float(scale[worst]))
 
 
 def _degrees(op: DiffOp1) -> tuple[int, int]:
@@ -223,8 +222,9 @@ def flow_crosscheck(
     estimated by Richardson extrapolation of central differences with steps
     h and h/2, (4 D(h/2) - D(h)) / 3, and compared with the realized
     polynomials.  ``z0`` is one point (length n) or a stack of points
-    (N, n); the operator, the four ``expm`` calls and four stacked
-    :func:`group_action` calls serve all of them, and each point's estimate
+    (N, n); the operator and four stacked :func:`group_action` calls, which
+    apply exp(+-hX) and exp(+-hX/2) to the rows by their generators
+    (:class:`orbit.Exp`), serve all of them, and each point's estimate
     is bit for bit the one it has alone.  If a point fails, the error is
     the one-point error of the first failing point, taking its four group
     actions in the order +h, -h, +h/2, -h/2.  The operator is read from
@@ -236,7 +236,7 @@ def flow_crosscheck(
     X = derived_matrix(model, x)
     op = realize_generator(model, x) if table is None else table.operator(x)
     realized = DenseTable.from_polys([op.P, *op.Q]).eval(points)
-    flows = [(s, scipy.linalg.expm(s * X), scipy.linalg.expm(-s * X)) for s in (h, h / 2)]
+    flows = [(s, Exp(s * X), Exp(-s * X)) for s in (h, h / 2)]
 
     def central(z, s, g_plus, g_minus):
         j_plus, z_plus = group_action(model, g_plus, z)
@@ -254,21 +254,26 @@ def flow_crosscheck(
 
 
 def cocycle_residual(
-    model: OrbitModel, g1: np.ndarray, g2: np.ndarray, z: Sequence[complex] | np.ndarray
+    model: OrbitModel, g1: np.ndarray | Exp, g2: np.ndarray | Exp, z: Sequence[complex] | np.ndarray
 ) -> float | np.ndarray:
     """|J(g1 o g2, z) - J(g1, g2.z) J(g2, z)| where the composite g1 o g2
-    (g2 acting first) is realized as the matrix product g2 @ g1.
+    (g2 acting first) is realized as the matrix product g2 @ g1, or, for
+    elements given by generators (:class:`orbit.Exp`), as two successive
+    actions: omega(z) exp(A2) exp(A1), with no matrix formed.
 
-    ``z`` may be a stack of points (N, n), with g1 and g2 each one matrix
-    or a stack (N, d, d) of per-row elements; the result is then the (N,)
-    residuals, each bit for bit the one-point value, from three stacked
-    :func:`group_action` calls.  If a row fails, the error is the
-    one-point error of the first failing row."""
-    g1 = np.asarray(g1, dtype=complex)
-    g2 = np.asarray(g2, dtype=complex)
+    ``z`` may be a stack of points (N, n), with g1 and g2 each one element
+    or a stack of N per-row elements; the result is then the (N,)
+    residuals, each bit for bit the one-point value, from stacked group
+    actions.  If a row fails, the error is the one-point error of the first
+    failing row."""
+    if not isinstance(g1, Exp):
+        g1 = np.asarray(g1, dtype=complex)
+        g2 = np.asarray(g2, dtype=complex)
     try:
-        j12, _ = group_action(model, g2 @ g1, z)
-        j2, z2 = group_action(model, g2, z)
+        moved = moved_covector(model, g2, z)
+        composite = act(moved, g1.A) if isinstance(g1, Exp) else moved_covector(model, g2 @ g1, z)
+        j12, _ = extract_coordinates(model, composite)
+        j2, z2 = extract_coordinates(model, moved)
         j1, _ = group_action(model, g1, z2)
     except CsorbitError:
         if np.ndim(z) == 2:  # the first failing row raises

@@ -232,6 +232,14 @@ def test_console_entry_point_subprocess():
     assert "J- : P = 2 z1, Q1 = -z1^2" in proc.stdout
 
 
+def test_import_loads_no_scipy_sparse():
+    # importing scipy.sparse adds about 0.1 s to every command's start-up
+    code = "import sys, csorbit, csorbit.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.sparse')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_package_runs_as_module():
     run_module = lambda *argv: subprocess.run([sys.executable, "-m", "csorbit", *argv], capture_output=True, text=True)
     proc = run_module("realize", "--model", "su2", "--j", "1")

@@ -30,7 +30,8 @@ from csorbit import (
     polar_check,
     run_checks,
 )
-from csorbit.algebra import covector_direct, covector_numeric
+from csorbit.algebra import covector_direct, covector_numeric, derived_matrix
+from csorbit.orbit import Exp, act
 from csorbit.polyops import MultiPoly
 
 ALL_MODELS = [
@@ -316,8 +317,9 @@ def test_dense_table_built_on_first_point_evaluation():
 
 
 # heisenberg coefficients fall under the absolute PRUNE_TOL from k = 17 in
-# the expanded kernel (1/k!) and from k = 27 in the series (1/sqrt(k!)),
-# which shows at chart points a few units from the origin
+# the expanded kernel polynomial (1/k!), which shows at chart points a few
+# units from the origin; the series, pruned relative to the magnitudes it
+# sums, keeps its entries k >= 27 (1/sqrt(k!))
 HEISENBERG_40 = ("heisenberg", {"trunc": 40})
 
 
@@ -325,17 +327,7 @@ def _far_point(rng, n, radius=2.0):
     return radius * np.exp(2j * np.pi * rng.uniform(size=n))
 
 
-@pytest.mark.parametrize(
-    "covector",
-    [
-        covector_direct,
-        pytest.param(
-            covector_numeric,
-            marks=pytest.mark.xfail(strict=True, reason="series entries k >= 27 fall under the absolute PRUNE_TOL"),
-        ),
-    ],
-    ids=lambda f: f.__name__,
-)
+@pytest.mark.parametrize("covector", [covector_direct, covector_numeric], ids=lambda f: f.__name__)
 def test_covector_matches_expm_heisenberg_far_point(covector):
     m = load_model(HEISENBERG_40[0], **HEISENBERG_40[1])
     z = np.array([3.0])
@@ -449,6 +441,94 @@ def test_su11_kernel_coefficients():
 def test_group_element_helper(su2_half):
     g = group_element(su2_half, AlgebraElement.basis(3, 1), 0.3)
     assert np.allclose(g, scipy.linalg.expm(0.3 * np.array(su2_half.rep.matrices[1])))
+
+
+CATALOG_DEFAULTS = [("su2", {}), ("heisenberg", {}), ("su11", {}), ("su3", {})]
+
+
+def _term_loop_scale(model, z, w):
+    """The largest kernel term at (z, conj w), over the polynomial's terms
+    one by one."""
+    point = list(z) + list(np.conj(w))
+    scale = 0.0
+    for expo, coeff in kernel(model).terms.items():
+        mag = abs(coeff)
+        for pi, ei in zip(point, expo):
+            if ei:
+                mag *= abs(pi) ** ei
+        scale = max(scale, mag)
+    return scale
+
+
+@pytest.mark.parametrize("name,params", CATALOG_DEFAULTS + [HEISENBERG_40])
+def test_kernel_scale_matches_term_loop(name, params, rng):
+    m = load_model(name, **params)
+    for radius in (0.3, 2.0):
+        z, w = _far_point(rng, m.n, radius), _far_point(rng, m.n, radius)
+        assert orbit_mod._kernel_scale(m, z, w) == pytest.approx(_term_loop_scale(m, z, w), rel=1e-13)
+
+
+def _generator(rng, d, norm):
+    """A random complex (d, d) generator whose largest absolute row sum is ``norm``."""
+    A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    return A * (norm / np.abs(A).sum(axis=1).max())
+
+
+@pytest.mark.parametrize("norm", [0.3, 1.0, 7.5])
+def test_act_matches_expm(rng, norm):
+    A = _generator(rng, 12, norm)
+    rows = rng.standard_normal((5, 12)) + 1j * rng.standard_normal((5, 12))
+    ref = rows @ scipy.linalg.expm(A)
+    assert np.max(np.abs(act(rows, A) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(act(rows[0], A) - ref[0])) <= 1e-13 * np.max(np.abs(ref[0]))
+
+
+def test_act_stack_matches_expm_row_by_row(rng):
+    # 1-norms from 0.5 to 6.5: one to seven scaled steps
+    As = np.array([_generator(rng, 10, 0.5 + 1.5 * k) for k in range(5)])
+    rows = rng.standard_normal((5, 10)) + 1j * rng.standard_normal((5, 10))
+    got = act(rows, As)
+    for k in range(5):
+        ref = rows[k] @ scipy.linalg.expm(As[k])
+        assert np.max(np.abs(got[k] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_act_stack_rows_are_their_one_row_results(rng):
+    As = np.array([_generator(rng, 10, 0.5 + 1.5 * k) for k in range(5)])
+    rows = rng.standard_normal((5, 10)) + 1j * rng.standard_normal((5, 10))
+    stacked = act(rows, As)
+    for k in range(5):
+        assert np.array_equal(stacked[k], act(rows[k], As[k]))
+        assert np.array_equal(stacked[k], act(rows[k : k + 1], As[k])[0])
+    shared = act(rows, As[3])
+    assert all(np.array_equal(shared[k], act(rows[k], As[3])) for k in range(5))
+
+
+def test_act_zero_and_nilpotent_generators(rng):
+    rows = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
+    assert np.array_equal(act(rows, np.zeros((6, 6))), rows)
+    N = 3.0 * np.triu(rng.standard_normal((6, 6)), 1)  # 1-norm well above 1
+    exact = sum(np.linalg.matrix_power(N, k) / math.factorial(k) for k in range(6))
+    ref = rows @ exact
+    assert np.max(np.abs(act(rows, N) - ref)) <= 1e-13 * np.max(np.abs(ref))
+    with pytest.raises(ValueError, match="not finite"):
+        act(rows, np.full((6, 6), np.nan))
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 2}), ("su3", {"p": 2, "q": 1})])
+def test_group_action_by_generator(name, params, rng):
+    m = load_model(name, **params)
+    c = 0.1 * (rng.standard_normal(m.spec.dim) + 1j * rng.standard_normal(m.spec.dim))
+    X = derived_matrix(m, AlgebraElement(c))
+    points = 0.3 * (rng.standard_normal((4, m.n)) + 1j * rng.standard_normal((4, m.n)))
+    J, Z = group_action(m, Exp(X), points)
+    J_ref, Z_ref = group_action(m, scipy.linalg.expm(X), points)
+    assert np.max(np.abs(J - J_ref)) < 1e-13 and np.max(np.abs(Z - Z_ref)) < 1e-13
+    for k, z in enumerate(points):
+        j, zk = group_action(m, Exp(X), z)
+        assert j == J[k] and np.array_equal(zk, Z[k])
+    with pytest.raises(ModelStructureError):
+        group_action(m, Exp(np.eye(m.dim_rep + 1)), points)
 
 
 def test_polar_check(su2_half):

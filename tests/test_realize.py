@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -27,6 +29,9 @@ from csorbit import (
     realize_generator,
     symbol,
 )
+from csorbit.algebra import derived_matrix
+from csorbit.orbit import Exp, coherent_covector
+from csorbit.realize import _closed_form, _intertwining_defect
 
 ALL_MODELS = [
     ("su2", {"j": 0.5}),
@@ -208,20 +213,21 @@ def test_flow_crosscheck_heisenberg_raising(heis10):
 
 def test_flow_crosscheck_stack_raises_first_failing_point(su2_one, monkeypatch):
     # point 1 fails only in its last group action (exp(-h/2 X)), point 2 in
-    # its first (exp(h X)): the one-point order reaches point 1 first
+    # its first (exp(h X)): the one-point order reaches point 1 first.  The
+    # flow applies each element by its generator.
     import csorbit.realize as realize_mod
 
     x = AlgebraElement.basis(3, 2)
     X = np.array(su2_one.rep.matrices[2])
     h = 1e-4
-    failing = {1: scipy.linalg.expm(-(h / 2) * X), 2: scipy.linalg.expm(h * X)}
+    failing = {1: -(h / 2) * X, 2: h * X}
     points = np.array([[0.1], [0.2], [0.3]], dtype=complex)
     real = realize_mod.group_action
 
     def fails_at_some_points(model, g, z):
         for point in np.atleast_2d(z):
             p = int(np.flatnonzero(points[:, 0] == point[0])[0])
-            if p in failing and np.array_equal(g, failing[p]):
+            if p in failing and np.array_equal(g.A, failing[p]):
                 raise PointOffOrbitError(f"point {p}")
         return real(model, g, z)
 
@@ -300,6 +306,73 @@ def test_cocycle_stack_raises_first_failing_pair(su2_one, rng):
         cocycle_residual(su2_one, g1s[3], g2s[3], points[3])
     with pytest.raises(PolarDivisorError):
         cocycle_residual(su2_one, g1s, g2s, points)
+
+
+def _generators(model, rng, count):
+    norm = max(1.0, max(float(np.max(np.abs(mm))) for mm in model.rep.matrices))
+    c = (0.15 / norm) * (rng.standard_normal((count, model.spec.dim)) + 1j * rng.standard_normal((count, model.spec.dim)))
+    return np.array([derived_matrix(model, AlgebraElement(ck)) for ck in c])
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 1}), ("su3", {"p": 2, "q": 1})])
+def test_cocycle_by_generators(name, params, rng):
+    # exp(A2) then exp(A1) on the rows, against the matrices and their product
+    m = load_model(name, **params)
+    A1s, A2s = _generators(m, rng, 6), _generators(m, rng, 6)
+    points = 0.3 * (rng.standard_normal((6, m.n)) + 1j * rng.standard_normal((6, m.n)))
+    stacked = cocycle_residual(m, Exp(A1s), Exp(A2s), points)
+    assert np.max(stacked) < 1e-13
+    assert stacked.tolist() == [cocycle_residual(m, Exp(a1), Exp(a2), z) for a1, a2, z in zip(A1s, A2s, points)]
+    shared = cocycle_residual(m, Exp(A1s[0]), Exp(A2s[0]), points)
+    assert shared.tolist() == [cocycle_residual(m, Exp(A1s[0]), Exp(A2s[0]), z) for z in points]
+    g1, g2 = scipy.linalg.expm(A1s[0]), scipy.linalg.expm(A2s[0])
+    assert np.max(np.abs(shared - cocycle_residual(m, g1, g2, points))) < 1e-13
+
+
+def test_cocycle_by_generators_raises_first_failing_pair(su2_one, rng):
+    # pair 1's g2 is not in the algebra and moves its point off the orbit;
+    # pair 2's g2 moves its point onto the polar divisor, up to rounding
+    J = su2_one.rep.matrices
+    A2s = np.zeros((3, 3, 3), dtype=complex)
+    A2s[1] = rng.standard_normal((3, 3))
+    A2s[2] = (np.pi / 2) * np.array(J[1] - J[2])
+    points = np.zeros((3, 1), dtype=complex)
+    with pytest.raises(PointOffOrbitError) as alone:
+        cocycle_residual(su2_one, Exp(-A2s[1]), Exp(A2s[1]), points[1])
+    with pytest.raises(PointOffOrbitError) as stacked:
+        cocycle_residual(su2_one, Exp(-A2s), Exp(A2s), points)
+    assert str(stacked.value) == str(alone.value)
+
+
+def _multipoly_defect(model, op, X):
+    """The intertwining defect summed on MultiPoly entries, each product and
+    sum pruned below PRUNE_TOL."""
+    omega = coherent_covector(model).entries
+    size = DiffOp1(abs(op.P), [abs(q) for q in op.Q])
+    limit = model.rep.block_dim if model.rep.truncated else math.inf
+    worst = 0.0
+    for k in range(model.dim_rep):
+        diff = diffop_apply(op, omega[k]) - symbol(model, X[:, k])
+        rhs = sum((abs(X[j, k] * omega[j]) for j in np.flatnonzero(X[:, k])), MultiPoly.zero(model.n))
+        terms = diffop_apply(size, abs(omega[k])) + rhs
+        for e, c in diff.terms.items():
+            if sum(e) <= limit:
+                worst = max(worst, abs(c) / max(1.0, terms.terms.get(e, 0j).real))
+    return worst
+
+
+@pytest.mark.parametrize(
+    "name,params", [("su2", {}), ("heisenberg", {}), ("su11", {}), ("su3", {}), ("su3", {"p": 4, "q": 4})]
+)
+def test_array_defect_matches_multipoly_form(name, params):
+    # the MultiPoly form drops every coefficient below PRUNE_TOL = 1e-14 on
+    # the way, a defect included; otherwise the two agree to rounding
+    m = load_model(name, **params)
+    for X in m.rep.matrices:
+        op = _closed_form(m, X)
+        defect, scale = _intertwining_defect(m, op, X)
+        assert scale >= 1
+        assert abs(defect - _multipoly_defect(m, op, X)) <= 1e-14 + 8 * np.finfo(float).eps
 
 
 def test_degree_reports():
