@@ -12,6 +12,7 @@ each direction descends).
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -246,9 +247,9 @@ class OrbitModel:
 
     @cached_property
     def derived(self):
-        """The model's :class:`orbit.DerivedData`: chart, coherent series,
-        their dense tables and the kernel, each built on first use and kept
-        for the model's lifetime."""
+        """The model's :class:`orbit.DerivedData`: chart, validation
+        metrics, coherent series, their dense tables and the kernel, each
+        built on first use and kept for the model's lifetime."""
         from .orbit import DerivedData  # orbit imports this module
 
         return DerivedData(self)
@@ -315,10 +316,7 @@ def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> Vali
             if fwd is not None and rev is not None:
                 anti.append(np.max(np.abs(fwd + rev)))
 
-    brackets = {}
-    for i in range(spec.dim):
-        for j in range(spec.dim):
-            brackets[i, j] = spec.bracket(i, j)
+    brackets = {(i, j): spec.bracket(i, j) for i in range(spec.dim) for j in range(spec.dim)}
 
     def double_bracket(i, j, k):
         # [X_i, [X_j, X_k]] expanded through the structure table
@@ -328,16 +326,10 @@ def validate_structure(spec: LieAlgebraSpec, tol: float = STRUCTURE_TOL) -> Vali
                 out += c * brackets[i, m]
         return out
 
-    jac = []
-    for i in range(spec.dim):
-        for j in range(i + 1, spec.dim):
-            for k in range(j + 1, spec.dim):
-                total = (
-                    double_bracket(i, j, k)
-                    + double_bracket(j, k, i)
-                    + double_bracket(k, i, j)
-                )
-                jac.append(np.max(np.abs(total)))
+    jac = [
+        np.max(np.abs(double_bracket(i, j, k) + double_bracket(j, k, i) + double_bracket(k, i, j)))
+        for i, j, k in itertools.combinations(range(spec.dim), 3)
+    ]
 
     metrics = {"antisymmetry": _worst(anti), "jacobi": _worst(jac)}
     return ValidationReport(metrics, {"antisymmetry": tol, "jacobi": tol})
@@ -365,17 +357,19 @@ def validate_representation(model: OrbitModel, tol: float = STRUCTURE_TOL) -> Va
     return ValidationReport(metrics, {"commutator_block": tol})
 
 
-def _row_exp(row: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
-    """row @ exp(M) through the terminating series of a nilpotent action."""
-    out = row.copy()
-    term = row.copy()
+def _nilpotent_exp(rows: np.ndarray, B: Sequence[np.ndarray], coeffs: np.ndarray, d: int) -> np.ndarray:
+    """rows[k] @ exp(sum_a coeffs[k, a] B[a]) for an (N, d) stack of rows,
+    through the terminating series of a nilpotent action.  The series stops
+    when every row's term is exactly zero; a row whose d-th term is still
+    above 1e-12 of its sum raises, and a NaN row is returned as NaN."""
+    out = rows.copy()
+    term = rows
     for k in range(1, d + 1):
-        term = term @ M / k
-        norm = float(np.max(np.abs(term)))
-        if norm == 0.0:
+        term = sum((c[:, None] * (term @ b) for c, b in zip(coeffs.T, B)), np.zeros_like(rows)) / k
+        if not term.any():
             return out
         out = out + term
-    if float(np.max(np.abs(term))) > 1e-12 * (1.0 + float(np.max(np.abs(out)))):
+    if np.any(np.max(np.abs(term), axis=1) > 1e-12 * (1.0 + np.max(np.abs(out), axis=1))):
         raise ModelValidationError(
             "coherent series does not terminate: chart directions are not "
             "nilpotent on the extremal orbit"
@@ -383,28 +377,29 @@ def _row_exp(row: np.ndarray, M: np.ndarray, d: int) -> np.ndarray:
     return out
 
 
-def covector_direct(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
+def covector_direct(model: OrbitModel, z: Sequence[complex] | np.ndarray) -> np.ndarray:
     """Numeric covector e0^dagger exp(sum_a z_a B_a) (sum chart) or
     e0^dagger exp(z_n B_n) ... exp(z_1 B_1) (product chart), computed from
-    the chart matrices by :func:`_row_exp` without the symbolic series.
+    the chart matrices by one terminating series without the symbolic one.
+    ``z`` is one point (n,), giving (d,), or a stack (N, n), giving (N, d):
+    the whole stack runs through each series term at once.
 
     Validation uses it to prove that the series terminates before anything
     symbolic is built; the round-trip check uses it as a reference for the
     series that :func:`covector_numeric` reads."""
     _, B, e0_row, _, _ = model.derived.chart
-    z = np.asarray(z, dtype=complex).reshape(-1)
-    if z.shape[0] != model.n:
-        raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
+    z = np.asarray(z, dtype=complex)
+    points = z if z.ndim == 2 else z.reshape(1, -1)
+    if points.shape[1] != model.n:
+        raise ModelStructureError(f"expected {model.n} coordinates, got {points.shape[1]}")
     d = model.dim_rep
+    rows = np.repeat(e0_row[None, :], len(points), axis=0)
     if model.chart == "sum":
-        M = np.zeros((d, d), dtype=complex)
-        for za, b in zip(z, B):
-            M += za * b
-        return _row_exp(e0_row, M, d)
-    row = e0_row
-    for a in range(model.n - 1, -1, -1):
-        row = _row_exp(row, z[a] * B[a], d)
-    return row
+        rows = _nilpotent_exp(rows, B, points, d)
+    else:
+        for a in range(model.n - 1, -1, -1):
+            rows = _nilpotent_exp(rows, B[a : a + 1], points[:, a : a + 1], d)
+    return rows if z.ndim == 2 else rows[0]
 
 
 def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
@@ -418,6 +413,53 @@ def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
     if z.shape[0] != model.n:
         raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
     return model.derived.covector.table.eval(z)
+
+
+def _validation_metrics(model: OrbitModel) -> dict[str, float]:
+    """The metrics :func:`validate_model` bounds, which do not depend on the
+    tolerance; ``model.derived.validation`` computes them once per model."""
+    metrics = {**validate_structure(model.spec).metrics, **validate_representation(model).metrics}
+    _, B, e0_row, phi, U = model.derived.chart
+    e0 = e0_row.conj()
+
+    norms = [float(np.linalg.norm(U[:, a])) for a in range(model.n)]
+    if model.n:
+        sv = np.linalg.svd(U, compute_uv=False)
+        independence = float(sv[-1]) if len(sv) == model.n else 0.0
+    else:
+        independence = math.inf
+    lowering_ok = all(v > 1e-8 for v in norms) and independence > 1e-8  # False on NaN
+
+    # completeness: dT(X_i) e0 decomposes over {e0} and the lowering images
+    span = np.column_stack([e0.reshape(-1, 1), U]) if model.n else e0.reshape(-1, 1)
+    qbasis, _ = np.linalg.qr(span)
+    off_span = lambda v: np.linalg.norm(v - qbasis @ (qbasis.conj().T @ v))
+
+    # grading triangularity at three deterministic pseudo-random points per
+    # chart direction a, with the coordinates of grade below a's set to zero;
+    # a non-terminating series (chart direction not nilpotent) counts as an
+    # infinite violation instead of escaping the report
+    rng = np.random.default_rng(0)
+    grading = np.array(model.grading)
+    direction = np.repeat(np.arange(model.n), 3)
+    parts = rng.standard_normal((len(direction), 2, model.n))
+    z = parts[:, 0] + 1j * parts[:, 1]
+    z *= 0.7
+    z[grading[None, :] < grading[direction][:, None]] = 0.0
+    try:
+        phi_z = (covector_direct(model, z)[:, None, :] @ phi.T[direction][:, :, None])[:, 0, 0]
+        tri = _worst(np.abs(phi_z - z[np.arange(len(z)), direction]))
+    except ModelValidationError:
+        tri = math.inf
+
+    return {
+        **metrics,
+        "raising_annihilates_e0": _worst(np.max(np.abs(b @ e0)) for b in B),
+        "lowering_orthogonal_e0": _worst(abs(np.vdot(e0, U[:, a])) for a in range(model.n)),
+        "isotropy_completeness": _worst(off_span(m @ e0) for m in model.rep.matrices),
+        "grading_triangularity": tri,
+        "mprime_independence": 0.0 if lowering_ok else 1.0,
+    }
 
 
 def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationReport:
@@ -434,67 +476,19 @@ def validate_model(model: OrbitModel, tol: float = STRUCTURE_TOL) -> ValidationR
       * the declared grading is triangular: with all coordinates of grade
         < g_a set to zero, phi_a(omega(z)) - z_a vanishes identically.
     Each criterion bounds one metric, by ``tol`` except for the two sampled
-    ones, isotropy and grading (ten times max(tol, 1e-12)).
+    ones, isotropy and grading (ten times max(tol, 1e-12)).  The metrics
+    are the model's ``derived.validation``, computed on the first call for
+    a model and shared by every later one, whatever its ``tol``.
     """
-    structure = validate_structure(model.spec, tol)
-    representation = validate_representation(model, tol)
-    _, B, e0_row, phi, U = model.derived.chart
-    e0 = e0_row.conj()
-
-    norms = [float(np.linalg.norm(U[:, a])) for a in range(model.n)]
-    if model.n:
-        sv = np.linalg.svd(U, compute_uv=False)
-        independence = float(sv[-1]) if len(sv) == model.n else 0.0
-    else:
-        independence = math.inf
-    lowering_ok = all(v > 1e-8 for v in norms) and independence > 1e-8  # False on NaN
-
-    raising = _worst(np.max(np.abs(b @ e0)) for b in B)
-    ortho = _worst(abs(np.vdot(e0, U[:, a])) for a in range(model.n))
-
-    # completeness: dT(X_i) e0 decomposes over {e0} and the lowering images
-    span = np.column_stack([e0.reshape(-1, 1), U]) if model.n else e0.reshape(-1, 1)
-    qbasis, _ = np.linalg.qr(span)
-    off_span = lambda v: np.linalg.norm(v - qbasis @ (qbasis.conj().T @ v))
-    iso = _worst(off_span(m @ e0) for m in model.rep.matrices)
-
-    # grading triangularity at deterministic pseudo-random coordinates; a
-    # non-terminating series (chart direction not nilpotent) counts as an
-    # infinite violation instead of escaping the report
-    rng = np.random.default_rng(0)
-    tri = []
-    for a in range(model.n):
-        g = model.grading[a]
-        for _ in range(3):
-            z = rng.standard_normal(model.n) + 1j * rng.standard_normal(model.n)
-            z *= 0.7
-            for b_idx in range(model.n):
-                if model.grading[b_idx] < g:
-                    z[b_idx] = 0.0
-            try:
-                row = covector_direct(model, z)
-            except ModelValidationError:
-                tri.append(math.inf)
-                break
-            tri.append(abs(row @ phi[:, a] - z[a]))
-    tri = _worst(tri)
-
-    metrics = {
-        **structure.metrics,
-        **representation.metrics,
-        "raising_annihilates_e0": raising,
-        "lowering_orthogonal_e0": ortho,
-        "isotropy_completeness": iso,
-        "grading_triangularity": tri,
-        "mprime_independence": 0.0 if lowering_ok else 1.0,
-    }
+    sampled = max(tol, 1e-12) * 10
     bounds = {
-        **structure.bounds,
-        **representation.bounds,
+        "antisymmetry": tol,
+        "jacobi": tol,
+        "commutator_block": tol,
         "raising_annihilates_e0": tol,
         "lowering_orthogonal_e0": tol,
-        "isotropy_completeness": max(tol, 1e-12) * 10,
-        "grading_triangularity": max(tol, 1e-12) * 10,
+        "isotropy_completeness": sampled,
+        "grading_triangularity": sampled,
         "mprime_independence": 0.0,
     }
-    return ValidationReport(metrics, bounds)
+    return ValidationReport(dict(model.derived.validation), bounds)

@@ -13,7 +13,9 @@ kind with a uniform angular grid:
 
 so the node weights sum to the total mass 1 exactly up to rule exactness.
 Integrands are evaluated at all nodes at once by ``DenseTable.eval``, the
-kernel K(z, conj w) as omega(z) . conj(omega(w)) on omega's table.
+kernel K(z, conj w) as omega(z) . conj(omega(w)) on omega's table.  The
+integrands are evaluated with numpy's warnings off: at the outer nodes of a
+large model they overflow, and the residual comes out large or NaN.
 Models without a measure (e.g. the su3 catalog entry) cannot run these
 checks and raise :class:`UnsupportedCheckError`.
 """
@@ -48,9 +50,14 @@ class QuadratureRule:
     mass_defect: float
 
 
-def quadrature_rule(model: OrbitModel, radial: int = QUAD_RADIAL, angular: int = QUAD_ANGULAR) -> QuadratureRule:
+def quadrature_rule(model: OrbitModel, radial: int | None = None, angular: int | None = None) -> QuadratureRule:
     """Tensor rule (radial Gauss nodes x uniform angles) for the model's
-    measure; see the module docstring for the per-kind radial maps."""
+    measure; see the module docstring for the per-kind radial maps.
+
+    A node count left as None is sized from the representation dimension
+    d, the symbols and their images under D_x having degree at most d:
+    R = max(QUAD_RADIAL, ceil(d/2) + 1) Gauss nodes (exact to radial degree
+    2R - 1 > d) and max(QUAD_ANGULAR, d + 1) angles, 64 x 64 for d <= 63."""
     ms = model.measure
     if ms is None or ms.kind == "none":
         raise UnsupportedCheckError(
@@ -58,6 +65,9 @@ def quadrature_rule(model: OrbitModel, radial: int = QUAD_RADIAL, angular: int =
         )
     if model.n != 1:
         raise UnsupportedCheckError("quadrature rules are implemented for rank-one charts")
+    d = model.dim_rep
+    radial = max(QUAD_RADIAL, -(-d // 2) + 1) if radial is None else radial
+    angular = max(QUAD_ANGULAR, d + 1) if angular is None else angular
     if radial < 1 or angular < 1:
         raise ValueError("radial and angular node counts must be >= 1")
     if ms.kind == "gaussian":
@@ -96,10 +106,11 @@ def parseval_residual(
     For truncated models the default basis is the artifact-free interior
     block, read as a view of the node values (a list of indices copies).
     """
-    at_nodes = coherent_covector(model).table.eval(rule.nodes[:, None])
-    V = (at_nodes[:, : model.rep.block_dim] if basis_indices is None else at_nodes[:, list(basis_indices)]).T
-    G = (V.conj() * rule.weights) @ V.T
-    return float(np.max(np.abs(G - np.eye(len(V)))))
+    with np.errstate(all="ignore"):
+        at_nodes = coherent_covector(model).table.eval(rule.nodes[:, None])
+        V = (at_nodes[:, : model.rep.block_dim] if basis_indices is None else at_nodes[:, list(basis_indices)]).T
+        G = (V.conj() * rule.weights) @ V.T
+        return float(np.max(np.abs(G - np.eye(len(V)))))
 
 
 def reproducing_residual(
@@ -114,10 +125,11 @@ def reproducing_residual(
     if psi.shape[1] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[1]} != dim_rep {model.dim_rep}")
     omega = coherent_covector(model).table
-    at_nodes, at_w = omega.eval(rule.nodes[:, None]), omega.eval(w)
-    k_w = at_nodes @ at_w.conj().T  # E(conj w) = conj(omega(w))
-    integrals = rule.weights @ (k_w.conj() * (at_nodes @ psi.T))
-    return float(np.max(np.abs(np.sum(at_w * psi, axis=1) - integrals)))
+    with np.errstate(all="ignore"):
+        at_nodes, at_w = omega.eval(rule.nodes[:, None]), omega.eval(w)
+        k_w = at_nodes @ at_w.conj().T  # E(conj w) = conj(omega(w))
+        integrals = rule.weights @ (k_w.conj() * (at_nodes @ psi.T))
+        return float(np.max(np.abs(np.sum(at_w * psi, axis=1) - integrals)))
 
 
 def adjoint_residual(
@@ -155,7 +167,8 @@ def adjoint_residual(
     symbols[1, : len(g_sym)] = g_sym
     symbols[2, : len(f_sym)] = f_sym
     symbols[3] = symbols[1, : len(expos_x)] @ A_xs
-    values = DenseTable(expos, symbols).eval(rule.nodes[:, None])
-    lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
-    rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
-    return float(abs(lhs - rhs))
+    with np.errstate(all="ignore"):
+        values = DenseTable(expos, symbols).eval(rule.nodes[:, None])
+        lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
+        rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
+        return float(abs(lhs - rhs))

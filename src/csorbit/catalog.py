@@ -347,7 +347,8 @@ def load_model(source: str | Path, validate: bool = True, tol: float = 1e-10, **
     ``source`` is either one of :func:`catalog_names` (with keyword
     parameters forwarded to the builder) or a path to a JSON model file.
     The returned model has passed :func:`validate_model` unless
-    ``validate=False``.
+    ``validate=False``; its metrics stay with the model, so a later
+    ``run_checks`` does not compute them again.
     """
     if isinstance(source, str) and source in _BUILDERS:
         try:

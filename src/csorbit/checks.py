@@ -99,7 +99,7 @@ def run_checks(
     model: OrbitModel,
     names=CHECK_ORDER,
     tol: float | None = None,
-    quad: tuple[int, int] = (analysis.QUAD_RADIAL, analysis.QUAD_ANGULAR),
+    quad: tuple[int, int] | None = None,
     degree_cap: int = realize.DEGREE_CAP,
     cocycle_pair: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> list[dict]:
@@ -107,7 +107,8 @@ def run_checks(
 
     ``tol`` overrides every check tolerance, but not the realization's
     acceptance threshold (``realize.SOLVER_TOL``).  ``quad`` gives the
-    radial and angular node counts of the quadrature rule, ``degree_cap``
+    radial and angular node counts of the quadrature rule, by default sized
+    from the model (:func:`analysis.quadrature_rule`), ``degree_cap``
     the largest realization degree accepted, and ``cocycle_pair`` a fixed
     (g1, g2) for the cocycle check instead of random pairs.  A record holds
     the check, the model and its parameters, the residual (None when there
@@ -135,7 +136,7 @@ def run_checks(
     rule = rule_error = None
     if wants(QUADRATURE_CHECKS):
         try:
-            rule = analysis.quadrature_rule(model, *quad)
+            rule = analysis.quadrature_rule(model, *(quad or ()))
         except UnsupportedCheckError as exc:
             rule_error = str(exc)
 
@@ -186,15 +187,13 @@ def run_checks(
         if name == "roundtrip":
             # the reference covectors come from the chart matrices, not from
             # the symbolic series that extract_coordinates solves against
-            z0s, mu0s, rows = [], [], []
-            for _ in range(ROUNDTRIP_DRAWS):
-                z0s.append(_random_point(rng, model, 0.5))
-                mu0s.append((0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform()))
-                rows.append(mu0s[-1] * covector_direct(model, z0s[-1]))
-            mus, zs = orbit.extract_coordinates(model, np.array(rows))
-            residuals = []
-            for mu, mu0, z, z0 in zip(mus, mu0s, zs, z0s):
-                residuals += [abs(mu - mu0) / (1 + abs(mu0)), *np.abs(z - z0)]
+            draws = [
+                (_random_point(rng, model, 0.5), (0.5 + rng.uniform(0, 1.5)) * np.exp(2j * np.pi * rng.uniform()))
+                for _ in range(ROUNDTRIP_DRAWS)
+            ]
+            z0s, mu0s = map(np.array, zip(*draws))
+            mus, zs = orbit.extract_coordinates(model, mu0s[:, None] * covector_direct(model, z0s))
+            residuals = [*np.abs(mus - mu0s) / (1 + np.abs(mu0s)), *np.abs(zs - z0s).ravel()]
             return _measured(float(np.max(residuals)), check_tol)
         tier = tol if tol is not None else (1e-6 if model.rep.truncated else 1e-8)
         if name == "parseval":

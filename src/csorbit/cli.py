@@ -42,15 +42,9 @@ class RunReport:
     status: str = "pass"
 
     def to_dict(self) -> dict:
-        out = {"model": self.model, "params": self.params}
-        if self.realization is not None:
-            out["realization"] = self.realization
-        if self.kernel is not None:
-            out["kernel"] = self.kernel
-        if self.checks is not None:
-            out["checks"] = self.checks
-        out["status"] = self.status
-        return out
+        sections = {"realization": self.realization, "kernel": self.kernel, "checks": self.checks}
+        present = {key: val for key, val in sections.items() if val is not None}
+        return {"model": self.model, "params": self.params, **present, "status": self.status}
 
 
 def _parse_complex(token: str) -> complex:
@@ -110,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--margin", type=int, help="truncation margin")
         p.add_argument("--tol", type=_finite_float, help="override all check tolerances")
         p.add_argument("--degree-cap", type=_positive_int, default=realize.DEGREE_CAP, help="largest degree accepted")
-        p.add_argument("--quad", default="64,64", help="radial,angular quadrature nodes")
+        p.add_argument("--quad", help="radial,angular quadrature nodes (default: sized from the model)")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")
 
     sub.add_parser("catalog", help="list built-in models")
@@ -170,12 +164,8 @@ def _load(args) -> object:
         raise CsorbitError("give exactly one of --model or --model-file")
     if args.model_file:
         return load_model(args.model_file)
-    params = {}
-    for key in ("j", "k", "p", "q", "trunc", "margin"):
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    return load_model(args.model, **params)
+    params = {key: getattr(args, key) for key in ("j", "k", "p", "q", "trunc", "margin")}
+    return load_model(args.model, **{key: val for key, val in params.items() if val is not None})
 
 
 def _realization_records(model, table) -> list:
@@ -200,10 +190,8 @@ def _realization_records(model, table) -> list:
 
 
 def cmd_catalog(args) -> tuple[int, RunReport]:
-    lines = ["available models:"]
-    for name in catalog.catalog_names():
-        lines.append(f"  {name}: {catalog.CATALOG_INFO[name]}")
-    print("\n".join(lines))
+    entries = (f"  {name}: {catalog.CATALOG_INFO[name]}" for name in catalog.catalog_names())
+    print("\n".join(["available models:", *entries]))
     return 0, RunReport(model="catalog", params={})
 
 
@@ -269,7 +257,7 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
 def cmd_check(args) -> tuple[int, RunReport]:
     model = _load(args)
     names = CHECK_ORDER if args.suite is None else [s.strip() for s in args.suite.split(",") if s.strip()]
-    quad = _parse_quad(args.quad)
+    quad = None if args.quad is None else _parse_quad(args.quad)
     results = run_checks(model, names, args.tol, quad, args.degree_cap, _cocycle_pair(model, args))
     failed = [r for r in results if r["status"] == "fail"]
     status = "fail" if failed else "pass"
@@ -294,14 +282,9 @@ def run(argv=None) -> tuple[int, RunReport | None]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), None
+    commands = {"catalog": cmd_catalog, "realize": cmd_realize, "kernel": cmd_kernel, "check": cmd_check}
     try:
-        if args.command == "catalog":
-            return cmd_catalog(args)
-        if args.command == "realize":
-            return cmd_realize(args)
-        if args.command == "kernel":
-            return cmd_kernel(args)
-        return cmd_check(args)
+        return commands[args.command](args)
     except CsorbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None

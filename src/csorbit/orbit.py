@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, OrbitModel, covector_numeric, derived_matrix
+from .algebra import AlgebraElement, OrbitModel, _validation_metrics, covector_numeric, derived_matrix
 from .errors import (
     DegeneratePointError,
     ModelStructureError,
@@ -132,8 +132,9 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
 
 class DerivedData:
     """Everything the package derives from one model, each part built on
-    first use: the chart matrices and functionals, the series omega with its
-    dense table, E read from omega, and the kernel polynomial.
+    first use: the chart matrices and functionals, the validation metrics,
+    the series omega with its dense table, E read from omega, and the
+    kernel polynomial.
     ``OrbitModel.derived`` owns one, so it lives exactly as long as the model."""
 
     def __init__(self, model: OrbitModel):
@@ -154,6 +155,11 @@ class DerivedData:
         dual = np.linalg.pinv(np.array(rows))  # d x (n+1); columns 1.. are the phi functionals
         lowering_images = np.column_stack([a[:, model.e0_index] for a in A]) if A else np.zeros((d, 0))
         return tuple(A), tuple(B), e0_row, dual[:, 1:], lowering_images
+
+    @cached_property
+    def validation(self) -> dict[str, float]:
+        """The metrics that ``algebra.validate_model`` bounds."""
+        return _validation_metrics(self.model)
 
     @cached_property
     def grade_steps(self) -> tuple[list[int], ...]:

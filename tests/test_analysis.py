@@ -12,6 +12,7 @@ from csorbit import (
     quadrature_rule,
     realize_all,
     reproducing_residual,
+    run_checks,
     symbol,
 )
 from csorbit.polyops import DenseTable
@@ -189,3 +190,13 @@ def test_adjoint_needs_declared_pairs(su2_one, rng):
     rule = quadrature_rule(bare, 16, 16)
     with pytest.raises(UnsupportedCheckError):
         adjoint_residual(bare, rule, AlgebraElement.basis(3, 1), np.ones(3), np.ones(3))
+
+
+def test_default_rule_is_sized_from_the_model():
+    # heisenberg trunc=80 keeps all 81 entries, whose products 64 angles
+    # alias; the sized rule takes d + 1 = 82
+    m = load_model("heisenberg", trunc=80)
+    rule = quadrature_rule(m)
+    assert (rule.radial, rule.angular) == (64, 82)
+    assert [r["status"] for r in run_checks(m, ["parseval", "adjoint"])] == ["pass", "pass"]
+    assert len(quadrature_rule(load_model("heisenberg", trunc=40)).nodes) == 64 * 64

@@ -23,7 +23,7 @@ def test_run_checks_subset_in_check_order(su2_one):
     assert all(r["status"] == "pass" for r in records)
 
 
-def test_one_validation_pass(monkeypatch, su2_one):
+def test_one_validation_pass(monkeypatch):
     calls = []
 
     def counted(fn):
@@ -34,11 +34,19 @@ def test_one_validation_pass(monkeypatch, su2_one):
 
     for fn in (algebra.validate_structure, algebra.validate_representation):
         monkeypatch.setattr(algebra, fn.__name__, counted(fn))
-    monkeypatch.setattr(checks, "validate_model", counted(algebra.validate_model))
-    records = cs.run_checks(su2_one, ["structure", "representation", "model"])
-    # the two inner reports are the ones validate_model merges
-    assert calls == ["validate_model", "validate_structure", "validate_representation"]
-    assert [r["status"] for r in records] == ["pass"] * 3
+    suite = ["structure", "representation", "model"]
+    once = ["validate_structure", "validate_representation"]
+    for validate in (True, False):
+        # the metrics are the model's own: load_model and run_checks share
+        # one computation, and a later run_checks reuses it
+        model = cs.load_model("su2", validate=validate, j=1)
+        assert calls == (once if validate else [])
+        records = cs.run_checks(model, suite)
+        assert calls == once
+        assert [r["status"] for r in records] == ["pass"] * 3
+        assert [r["tolerance"] for r in cs.run_checks(model, suite, tol=1e-30)] == [1e-30] * 3
+        assert calls == once
+        calls.clear()
 
 
 def test_tol_overrides_checks_not_acceptance():

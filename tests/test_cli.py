@@ -261,6 +261,23 @@ def test_kernel_eval_overflow_exits_2():
     ]
 
 
+@pytest.mark.parametrize("j", ["60", "100"])
+def test_quadrature_overflow_fails_without_numpy_warnings(j):
+    # the symbols' products (at j = 60) and the symbols themselves (at
+    # j = 100) overflow at the outermost nodes of the rule: the records
+    # fail, and stderr carries no numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "csorbit", "check", "--model", "su2", "--j", j,
+         "--suite", "parseval,reproducing,adjoint", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and "RuntimeWarning" not in proc.stderr
+    records = json.loads(proc.stdout)["checks"]
+    assert [r["status"] for r in records] == ["fail"] * 3
+    assert records[1]["note"] == "residual is nan"
+
+
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 

@@ -216,6 +216,24 @@ def test_covector_matches_expm(name, params, covector, rng):
         assert np.max(np.abs(got - ref)) < 1e-12 * max(1.0, float(np.max(np.abs(ref))))
 
 
+@pytest.mark.parametrize("name,params", ALL_MODELS + [SU3_SUM_CHART])
+def test_covector_direct_stack_matches_expm(name, params, rng):
+    # one series for the whole stack, each row within the one-point bound
+    m = _load(name, params)
+    z = 0.5 * (rng.standard_normal((6, m.n)) + 1j * rng.standard_normal((6, m.n)))
+    got = covector_direct(m, z)
+    assert got.shape == (6, m.dim_rep)
+    for row, point in zip(got, z):
+        ref = _expm_covector(m, point)
+        assert np.max(np.abs(row - ref)) < 1e-12 * max(1.0, float(np.max(np.abs(ref))))
+
+
+def test_covector_direct_stack_of_wrong_width_is_a_structure_error(su3_11):
+    with pytest.raises(ModelStructureError, match="expected 3 coordinates, got 2"):
+        covector_direct(su3_11, np.zeros((4, 2)))
+    assert covector_direct(su3_11, np.zeros((0, 3))).shape == (0, su3_11.dim_rep)
+
+
 def _series_over_lowering_matrices(m):
     """E as the chart series over the A_a themselves (the row recursion
     row -> row @ A_a.T), built apart from omega."""
@@ -562,6 +580,10 @@ def test_non_nilpotent_chart_direction_is_a_model_error(su2_one):
         coherent_vector(bad)
     rep = validate_model(bad)
     assert not rep.passed
+    assert rep.metrics["grading_triangularity"] == math.inf
+    # in a stack, the zero point terminates at once and the other rows do not
+    with pytest.raises(ModelValidationError, match="does not terminate"):
+        covector_direct(bad, [[0.0], [0.3], [0.1j]])
 
 
 def test_degenerate_normalization_guard(su2_half, monkeypatch):
