@@ -58,16 +58,7 @@ from .orbit import (
     normalization,
     polar_check,
 )
-from .polyops import (
-    DiffOp1,
-    MultiPoly,
-    diffop_apply,
-    diffop_commutator,
-    diffop_max_diff,
-    max_coeff_diff,
-    render_diffop,
-    render_poly,
-)
+from .polyops import MultiPoly, render_diffop, render_poly
 from .realize import (
     DegreeReport,
     RealizationTable,

@@ -248,7 +248,7 @@ class OrbitModel:
     @cached_property
     def derived(self):
         """The model's :class:`orbit.DerivedData`: chart, validation
-        metrics, coherent series, their dense tables and the kernel, each
+        metrics, the coherent series and the kernel, each
         built on first use and kept for the model's lifetime."""
         from .orbit import DerivedData  # orbit imports this module
 
@@ -403,16 +403,16 @@ def covector_direct(model: OrbitModel, z: Sequence[complex] | np.ndarray) -> np.
 
 
 def covector_numeric(model: OrbitModel, z: Sequence[complex]) -> np.ndarray:
-    """Covector field omega(z) at a point, read from the dense table of the
-    model's symbolic series (``orbit.coherent_covector``).
+    """Covector field omega(z) at a point, read from the coefficient array
+    of the model's symbolic series (``orbit.coherent_covector``).
 
     It equals :func:`covector_direct` up to rounding: the series drops
-    only coefficients that are cancellation residue (``orbit.SERIES_ULPS``),
+    only coefficients that are cancellation residue (``polyops.SERIES_ULPS``),
     so heisenberg's entries 1/sqrt(k!) are kept however small."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     if z.shape[0] != model.n:
         raise ModelStructureError(f"expected {model.n} coordinates, got {z.shape[0]}")
-    return model.derived.covector.table.eval(z)
+    return model.derived.covector.eval(z)
 
 
 def _validation_metrics(model: OrbitModel) -> dict[str, float]:

@@ -12,8 +12,8 @@ kind with a uniform angular grid:
     bergman-disk   u = r^2,        Gauss-Jacobi with weight (1-u)^{2k-2}
 
 so the node weights sum to the total mass 1 exactly up to rule exactness.
-Integrands are evaluated at all nodes at once by ``DenseTable.eval``, the
-kernel K(z, conj w) as omega(z) . conj(omega(w)) on omega's table.  The
+Integrands are evaluated at all nodes at once by ``PolyEntries.eval``, the
+kernel K(z, conj w) as omega(z) . conj(omega(w)) on omega's array.  The
 integrands are evaluated with numpy's warnings off: at the outer nodes of a
 large model they overflow, and the residual comes out large or NaN.
 Models without a measure (e.g. the su3 catalog entry) cannot run these
@@ -31,7 +31,7 @@ from scipy.special import roots_jacobi
 from .algebra import AlgebraElement, MeasureSpec, OrbitModel
 from .errors import UnsupportedCheckError
 from .orbit import coherent_covector
-from .polyops import DenseTable, diffop_array
+from .polyops import PolyEntries, diffop_array
 from .realize import RealizationTable, realize_generator
 
 QUAD_RADIAL = 64
@@ -50,14 +50,18 @@ class QuadratureRule:
     mass_defect: float
 
 
+def sized_counts(model: OrbitModel) -> tuple[int, int]:
+    """(R, A) sized from the dimension d, the degree bound of the symbols
+    and their images under D_x: R = max(QUAD_RADIAL, ceil(d/2) + 1) Gauss
+    nodes (exact to radial degree 2R - 1 > d), A = max(QUAD_ANGULAR, d + 1)."""
+    d = model.dim_rep
+    return max(QUAD_RADIAL, -(-d // 2) + 1), max(QUAD_ANGULAR, d + 1)
+
+
 def quadrature_rule(model: OrbitModel, radial: int | None = None, angular: int | None = None) -> QuadratureRule:
     """Tensor rule (radial Gauss nodes x uniform angles) for the model's
-    measure; see the module docstring for the per-kind radial maps.
-
-    A node count left as None is sized from the representation dimension
-    d, the symbols and their images under D_x having degree at most d:
-    R = max(QUAD_RADIAL, ceil(d/2) + 1) Gauss nodes (exact to radial degree
-    2R - 1 > d) and max(QUAD_ANGULAR, d + 1) angles, 64 x 64 for d <= 63."""
+    measure; see the module docstring for the per-kind radial maps.  A
+    node count left as None is sized by :func:`sized_counts`."""
     ms = model.measure
     if ms is None or ms.kind == "none":
         raise UnsupportedCheckError(
@@ -65,9 +69,9 @@ def quadrature_rule(model: OrbitModel, radial: int | None = None, angular: int |
         )
     if model.n != 1:
         raise UnsupportedCheckError("quadrature rules are implemented for rank-one charts")
-    d = model.dim_rep
-    radial = max(QUAD_RADIAL, -(-d // 2) + 1) if radial is None else radial
-    angular = max(QUAD_ANGULAR, d + 1) if angular is None else angular
+    sized = sized_counts(model)
+    radial = sized[0] if radial is None else radial
+    angular = sized[1] if angular is None else angular
     if radial < 1 or angular < 1:
         raise ValueError("radial and angular node counts must be >= 1")
     if ms.kind == "gaussian":
@@ -107,7 +111,7 @@ def parseval_residual(
     block, read as a view of the node values (a list of indices copies).
     """
     with np.errstate(all="ignore"):
-        at_nodes = coherent_covector(model).table.eval(rule.nodes[:, None])
+        at_nodes = coherent_covector(model).eval(rule.nodes[:, None])
         V = (at_nodes[:, : model.rep.block_dim] if basis_indices is None else at_nodes[:, list(basis_indices)]).T
         G = (V.conj() * rule.weights) @ V.T
         return float(np.max(np.abs(G - np.eye(len(V)))))
@@ -124,7 +128,7 @@ def reproducing_residual(
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     if psi.shape[1] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[1]} != dim_rep {model.dim_rep}")
-    omega = coherent_covector(model).table
+    omega = coherent_covector(model)
     with np.errstate(all="ignore"):
         at_nodes, at_w = omega.eval(rule.nodes[:, None]), omega.eval(w)
         k_w = at_nodes @ at_w.conj().T  # E(conj w) = conj(omega(w))
@@ -168,7 +172,7 @@ def adjoint_residual(
     symbols[2, : len(f_sym)] = f_sym
     symbols[3] = symbols[1, : len(expos_x)] @ A_xs
     with np.errstate(all="ignore"):
-        values = DenseTable(expos, symbols).eval(rule.nodes[:, None])
+        values = PolyEntries(expos, symbols).eval(rule.nodes[:, None])
         lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
         rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
         return float(abs(lhs - rhs))

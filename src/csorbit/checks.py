@@ -133,12 +133,15 @@ def run_checks(
         if table.partial:
             failures = (f"{model.spec.basis_labels[i]}: {msg}" for i, msg in table.failures.items())
             table_error = "partial table: " + "; ".join(failures)
-    rule = rule_error = None
+    rule = rule_error = rule_note = None
     if wants(QUADRATURE_CHECKS):
         try:
             rule = analysis.quadrature_rule(model, *(quad or ()))
         except UnsupportedCheckError as exc:
             rule_error = str(exc)
+        sized = analysis.sized_counts(model)
+        if quad and (quad[0] < sized[0] or quad[1] < sized[1]):
+            rule_note = f"rule {quad[0]}x{quad[1]} is below the sized {sized[0]}x{sized[1]} for d = {model.dim_rep}"
 
     def run_one(name, check_tol):
         if name in TABLE_CHECKS and table_error is not None:
@@ -222,6 +225,8 @@ def run_checks(
             residual, tolerance, status, note = None, check_tol, "skip", str(exc)
         except CsorbitError as exc:
             residual, tolerance, status, note = None, check_tol, "fail", str(exc)
+        if name in QUADRATURE_CHECKS and rule_note and status != "skip":
+            note = "; ".join(filter(None, [note, rule_note]))
         entry = {
             "check": name,
             "model": model.name,

@@ -27,7 +27,7 @@ from .algebra import AlgebraElement
 from .catalog import load_model, read_complex_matrix
 from .checks import CHECK_ORDER, run_checks
 from .errors import CsorbitError
-from .polyops import render_poly
+from .polyops import render_diffop, render_poly
 
 
 @dataclass
@@ -114,8 +114,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ker = sub.add_parser("kernel", help="print the reproducing kernel")
     add_model_flags(p_ker)
-    p_ker.add_argument("--eval", nargs="+", metavar="RE,IM", help="evaluate at z then w (n coordinates each); "
-                       'a negative real part needs the tokens quoted as one argument: --eval "-0.3,0.1 0.2,0"')
+    p_ker.add_argument("--eval", nargs="+", action="extend", metavar="RE,IM",
+                       help="evaluate at z then w (n coordinates each); repeated flags add up, and a negative real "
+                       'part is given as --eval=-0.3,0.1 or quoted with the rest: --eval "-0.3,0.1 0.2,0"')
     p_ker.add_argument("--vectors", action="store_true", help="also print E(z) and omega(z)")
 
     p_chk = sub.add_parser("check", help="run the validation suite")
@@ -173,15 +174,16 @@ def _realization_records(model, table) -> list:
     for idx in range(model.spec.dim):
         label = model.spec.basis_labels[idx]
         if idx in table.entries:
-            op = table.entries[idx]
+            P, *Q = table.entries[idx].entries
+            degP, *degQ = table.entries[idx].degrees.tolist()
             records.append(
                 {
                     "label": label,
-                    "P": render_poly(op.P),
-                    "Q": [render_poly(q) for q in op.Q],
+                    "P": render_poly(P),
+                    "Q": [render_poly(q) for q in Q],
                     "residual": table.residuals[idx],
-                    "degP": op.P.degree(),
-                    "degQ": max((q.degree() for q in op.Q), default=-1),
+                    "degP": degP,
+                    "degQ": max(degQ, default=-1),
                 }
             )
         else:
@@ -206,12 +208,11 @@ def cmd_realize(args) -> tuple[int, RunReport]:
         print(json.dumps(report.to_dict(), indent=2))
     else:
         print(f"model: {model.describe()}")
-        for rec in records:
+        for idx, rec in enumerate(records):
             if "error" in rec:
                 print(f"{rec['label']} : FAILED ({rec['error']})")
             else:
-                parts = [f"P = {rec['P']}"] + [f"Q{i + 1} = {q}" for i, q in enumerate(rec["Q"])]
-                print(f"{rec['label']} : " + ", ".join(parts))
+                print(f"{rec['label']} : {render_diffop(table.entries[idx])}")
         print(f"max relative intertwining defect: {table.max_residual():.3e}")
         print(f"status: {status}")
     return (0 if status == "pass" else 1), report
@@ -221,7 +222,7 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
     model = _load(args)
     n = model.n
     names = [f"z{i + 1}" for i in range(n)] + [f"w{i + 1}" for i in range(n)]
-    rendered = render_poly(orbit.kernel(model), names)
+    rendered = render_poly(orbit.kernel(model).entries[0], names)
     section = {"variables": names, "poly": rendered}
     if args.eval:
         tokens = [tok for arg in args.eval for tok in arg.split()]

@@ -46,38 +46,10 @@ from .errors import (
     PolarDivisorError,
     TruncationWarning,
 )
-from .polyops import PRUNE_TOL, DenseTable, MultiPoly
+from .polyops import PolyEntries, prune
 
 EXTRACT_TOL = 1e-10
 POLAR_TOL = 1e-12
-# The series drops a coefficient only when it is at most this many ulps of
-# the magnitudes summed into it: cancellation residue, not a small term.
-SERIES_ULPS = 64
-
-
-@dataclass(eq=False)
-class PolyEntries:
-    """E(z) or omega(z) as one coefficient array: entry k is
-    sum_m coeffs[k, m] z^exponents[m] over the (M, n) exponents of every
-    monomial used, sorted lexicographically, so column m is the Fock-space
-    component of z^exponents[m].  The extremal entry is identically 1."""
-
-    exponents: np.ndarray
-    coeffs: np.ndarray
-
-    @cached_property
-    def table(self) -> DenseTable:
-        return DenseTable(self.exponents, self.coeffs)
-
-    def poly(self, row: np.ndarray) -> MultiPoly:
-        """sum_m row[m] z^exponents[m], pruned at ``PRUNE_TOL`` as every
-        MultiPoly is."""
-        return MultiPoly(self.exponents.shape[1], {tuple(self.exponents[m]): row[m] for m in np.flatnonzero(row)})
-
-    @cached_property
-    def entries(self) -> tuple[MultiPoly, ...]:
-        """The entries as polynomials, for rendering and the operator algebra."""
-        return tuple(map(self.poly, self.coeffs))
 
 
 def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
@@ -86,7 +58,7 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
     each monomial's coefficient row to row @ mats[a] / k at that monomial
     times z_a, summed over the factors.  Beside each coefficient the series
     sums the magnitudes |row| @ |mats[a]| / k it adds up, and drops the
-    coefficient when it is at most ``SERIES_ULPS`` ulps of them, which
+    coefficient when it is at most ``polyops.SERIES_ULPS`` ulps of them, which
     removes cancellation residue but keeps a small term such as heisenberg's
     1 / sqrt(k!).  It ends because each matrix strictly shifts the weight
     level."""
@@ -107,7 +79,7 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
             term_m = np.zeros(term_r.shape)
             np.add.at(term_r, where.reshape(-1), products)  # adding to 0j also clears signed zeros
             np.add.at(term_m, where.reshape(-1), magnitudes)
-            term_r[np.abs(term_r) <= SERIES_ULPS * np.finfo(float).eps * term_m] = 0
+            prune(term_r, term_m)
             kept = term_r.any(axis=1)
             if not kept.any():
                 break
@@ -115,7 +87,7 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
                 raise ModelValidationError("coherent series does not terminate within the representation dimension")
             terms.append((term_e[kept], term_r[kept]))
         expos, rows = (np.concatenate(part) for part in zip(*terms))
-    expos, sort = np.unique(expos, axis=0, return_index=True)  # sorted, as DenseTable.from_polys sorts
+    expos, sort = np.unique(expos, axis=0, return_index=True)  # sorted lexicographically
     return PolyEntries(expos, np.ascontiguousarray(rows[sort].T))
 
 
@@ -133,8 +105,7 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
 class DerivedData:
     """Everything the package derives from one model, each part built on
     first use: the chart matrices and functionals, the validation metrics,
-    the series omega with its dense table, E read from omega, and the
-    kernel polynomial.
+    the series omega, E read from omega, and the kernel polynomial.
     ``OrbitModel.derived`` owns one, so it lives exactly as long as the model."""
 
     def __init__(self, model: OrbitModel):
@@ -184,15 +155,19 @@ class DerivedData:
     @cached_property
     def vector(self) -> PolyEntries:
         """E: omega's array conjugated, the series over conj(B_a) = A_a.T.
-        Points read omega's table instead, E(conj w) being conj(omega(w))."""
+        Points read omega instead, E(conj w) being conj(omega(w))."""
         return PolyEntries(self.covector.exponents, np.conj(self.covector.coeffs))
 
     @cached_property
-    def kernel(self) -> MultiPoly:
-        """K(z, w), whose coefficient at z^e w^f is entry (e, f) of C.T @ conj(C)."""
+    def kernel(self) -> PolyEntries:
+        """K(z, w) as one row in 2n variables: its coefficient at z^e w^f is
+        entry (e, f) of C.T @ conj(C), pruned against |C|.T @ |C| as the
+        series is."""
         expos, C = self.covector.exponents, self.covector.coeffs
         K = C.T @ np.conj(C)
-        return MultiPoly(2 * self.model.n, {(*expos[i], *expos[j]): K[i, j] for i, j in zip(*np.nonzero(K))})
+        prune(K, np.abs(C).T @ np.abs(C))
+        i, j = np.nonzero(K)
+        return PolyEntries(np.hstack([expos[i], expos[j]]), K[i, j][None])
 
 
 def coherent_vector(model: OrbitModel) -> PolyEntries:
@@ -207,7 +182,7 @@ def coherent_covector(model: OrbitModel) -> PolyEntries:
     return model.derived.covector
 
 
-def kernel(model: OrbitModel) -> MultiPoly:
+def kernel(model: OrbitModel) -> PolyEntries:
     """K(z, w) = sum_k omega_k(z) E_k(w) in 2n variables, for display; its
     values come from :func:`kernel_eval`."""
     return model.derived.kernel
@@ -217,17 +192,14 @@ def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -
     """Evaluate K at chart points: the second point enters conjugated.
 
     Computed as the defining sum omega(z) . E(conj w) = omega(z) .
-    conj(omega(w)) on omega's dense table, which is how every kernel value
-    in the package is evaluated.  The polynomial ``kernel(model)`` expands
-    the same sum but drops each coefficient of C.T @ conj(C) below
-    ``polyops.PRUNE_TOL``: on heisenberg with ``trunc >= 17`` the terms
-    (z conj w)^k / k! for k >= 17, about 1e-6 relative at |z| = |w| = 2.
-    A value that overflows raises :class:`DegeneratePointError`."""
+    conj(omega(w)) on omega's array, which is how every kernel value in
+    the package is evaluated; the polynomial ``kernel(model)`` expands the
+    same sum.  A value that overflows raises :class:`DegeneratePointError`."""
     z = np.asarray(z, dtype=complex).reshape(-1)
     w = np.asarray(w, dtype=complex).reshape(-1)
     if z.shape[0] != model.n or w.shape[0] != model.n:
         raise ModelStructureError(f"expected two points with {model.n} coordinates")
-    omega = coherent_covector(model).table
+    omega = coherent_covector(model)
     with np.errstate(all="ignore"):
         val = complex(omega.eval(z) @ np.conj(omega.eval(w)))
     if not cmath.isfinite(val):
@@ -300,7 +272,7 @@ def extract_coordinates(
         raise PolarDivisorError("covector lies on the polar divisor of the base point")
     W = v / mu
     phi = model.derived.chart[3]
-    omega = coherent_covector(model).table
+    omega = coherent_covector(model)
     z = np.zeros(model.n, dtype=complex)
     for active in model.derived.grade_steps:
         partial = omega.eval(z)
@@ -330,7 +302,7 @@ def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.nda
     # polar rows are rejected below; dividing them by 1 keeps them finite
     W = V / np.where(polar, 1, mu)[:, None]
     phi = model.derived.chart[3]
-    omega = coherent_covector(model).table
+    omega = coherent_covector(model)
     Z = np.zeros((len(V), model.n), dtype=complex)
     for active in model.derived.grade_steps:
         D = (W - omega.eval(Z))[:, None, :]
@@ -398,7 +370,7 @@ def moved_covector(model: OrbitModel, g: np.ndarray | Exp, z: Sequence[complex] 
             raise ModelStructureError(f"expected points with {model.n} coordinates, got {z.shape[1]}")
         if gen.shape not in ((d, d), (len(z), d, d)):
             raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(z)} of them")
-        rows = coherent_covector(model).table.eval(z)
+        rows = coherent_covector(model).eval(z)
         return act(rows, gen) if isinstance(g, Exp) else (rows[:, None, :] @ gen)[:, 0]
     if gen.shape != (d, d):
         raise ModelStructureError(f"group element must be {d} x {d}")
@@ -433,11 +405,9 @@ def group_element(model: OrbitModel, x: AlgebraElement, t: complex = 1.0) -> np.
 
 def _kernel_scale(model: OrbitModel, z: np.ndarray, w: np.ndarray) -> float:
     """The largest term |K_ef z^e conj(w)^f| of the kernel polynomial at
-    (z, conj w), over its terms as arrays."""
-    terms = kernel(model).terms
-    expos = np.array(list(terms), dtype=int).reshape(len(terms), -1)
-    magnitudes = np.abs(np.fromiter(terms.values(), complex, len(terms)))
-    return float(np.max(magnitudes * np.prod(np.abs(np.concatenate([z, w])) ** expos, axis=1), initial=0.0))
+    (z, conj w)."""
+    K, at = kernel(model), np.abs(np.concatenate([z, w]))
+    return float(np.max(np.abs(K.coeffs[0]) * np.prod(at**K.exponents, axis=1), initial=0.0))
 
 
 def polar_check(

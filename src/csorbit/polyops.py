@@ -1,123 +1,49 @@
-"""Sparse multivariate polynomials over complex coefficients, and the algebra
-of first-order holomorphic differential operators built from them.
+"""Vectors of polynomials as coefficient arrays over an exponent table, the
+one product routine on them, and the rendering of polynomials and of
+first-order operators.
 
-Exponents are tuples of nonnegative ints of length ``nvars``.  Coefficients
-with magnitude below ``PRUNE_TOL`` are dropped on construction so that degree
-queries and rendered output stay stable against cancellation residue.
+A :class:`PolyEntries` holds k polynomials in n variables as an (M, n) int
+exponent table and a (k, M) complex coefficient array.  omega, E, a symbol,
+the kernel (one row in 2n variables) and a realized operator D = P + sum_i
+Q_i d/dz_i (the rows P, Q_1 .. Q_n) are all one.  Products and sums of rows
+go through :func:`collect`, which sums pair products onto integer-encoded
+exponents and drops a coefficient only when it is at most ``SERIES_ULPS``
+ulps of the magnitudes summed into it.  :class:`MultiPoly` is the term dict
+that rendering reads, with a term-by-term ``eval`` as a reference.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-PRUNE_TOL = 1e-14
+# A coefficient is dropped only when it is at most this many ulps of the
+# magnitudes summed into it: cancellation residue, not a small term.
+SERIES_ULPS = 64
 
-# Target size in bytes of each temporary in a stacked DenseTable.eval.
+# Target size in bytes of each temporary in a stacked PolyEntries.eval.
 _BLOCK_BYTES = 64 * 1024
 
 
 class MultiPoly:
-    """Sparse polynomial in ``nvars`` complex variables."""
+    """Sparse polynomial in ``nvars`` complex variables, as the term dict
+    that rendering reads."""
 
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[tuple, complex] | None = None):
-        if nvars < 0:
-            raise ValueError("nvars must be nonnegative")
         self.nvars = int(nvars)
-        acc: dict[tuple[int, ...], complex] = {}
-        for expo, coeff in (terms or {}).items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != self.nvars:
-                raise ValueError(f"exponent {expo} does not match nvars={self.nvars}")
-            if any(e < 0 for e in expo):
-                raise ValueError(f"negative exponent in {expo}")
-            acc[expo] = acc.get(expo, 0j) + complex(coeff)
-        self.terms = {e: c for e, c in acc.items() if not abs(c) < PRUNE_TOL}  # keeps NaN
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls, nvars: int) -> "MultiPoly":
-        return cls(nvars)
-
-    @classmethod
-    def constant(cls, nvars: int, value: complex) -> "MultiPoly":
-        return cls(nvars, {(0,) * nvars: value})
-
-    @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range for nvars={nvars}")
-        expo = tuple(1 if k == i else 0 for k in range(nvars))
-        return cls(nvars, {expo: 1.0})
-
-    # -- ring operations ---------------------------------------------------
-
-    def _check_compatible(self, other: "MultiPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"nvars mismatch: {self.nvars} vs {other.nvars}")
-
-    def __add__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.nvars, other)
-        self._check_compatible(other)
-        acc = dict(self.terms)
-        for e, c in other.terms.items():
-            acc[e] = acc.get(e, 0j) + c
-        return MultiPoly(self.nvars, acc)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiPoly):
-            other = MultiPoly.constant(self.nvars, other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if not isinstance(other, MultiPoly):
-            return MultiPoly(self.nvars, {e: c * other for e, c in self.terms.items()})
-        self._check_compatible(other)
-        acc: dict[tuple[int, ...], complex] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                acc[key] = acc.get(key, 0j) + c1 * c2
-        return MultiPoly(self.nvars, acc)
-
-    def __rmul__(self, other):
-        return self * other
-
-    # -- calculus and queries ----------------------------------------------
-
-    def partial(self, i: int) -> "MultiPoly":
-        """Partial derivative with respect to variable ``i``."""
-        if not 0 <= i < self.nvars:
-            raise ValueError(f"variable index {i} out of range")
-        acc = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                key = tuple(v - 1 if k == i else v for k, v in enumerate(e))
-                acc[key] = acc.get(key, 0j) + c * e[i]
-        return MultiPoly(self.nvars, acc)
+        # adding to 0j also clears the signed zeros that conjugation makes
+        self.terms = {tuple(int(e) for e in expo): 0j + complex(c) for expo, c in (terms or {}).items()}
+        if any(len(e) != self.nvars or min(e, default=0) < 0 for e in self.terms):
+            raise ValueError(f"exponents must be {self.nvars} nonnegative ints, got {list(self.terms)}")
 
     def degree(self) -> int:
-        """Total degree after pruning; -1 for the zero polynomial."""
+        """Total degree; -1 for the zero polynomial."""
         if not self.terms:
             return -1
         return max(sum(e) for e in self.terms)
-
-    def __abs__(self) -> "MultiPoly":
-        """Same monomials, coefficient magnitudes."""
-        return MultiPoly(self.nvars, {e: abs(c) for e, c in self.terms.items()})
 
     def eval(self, point: Sequence[complex]) -> complex:
         """Evaluate at a point; terms are summed in lexicographic exponent order."""
@@ -137,26 +63,20 @@ class MultiPoly:
         return f"MultiPoly({render_poly(self)})"
 
 
-class DenseTable:
-    """A non-empty vector of polynomials in the same variables as one dense
-    coefficient matrix over a shared exponent table: entry k is
+class PolyEntries:
+    """A non-empty vector of polynomials in the same variables as one
+    coefficient array over a shared exponent table: entry k is
     sum_m coeffs[k, m] * z^exponents[m].
 
-    ``exponents`` is an (M, nvars) int array of the monomials used by any
-    entry, sorted lexicographically, and ``coeffs`` the C-contiguous (d, M)
-    complex matrix; both are used as given.  Evaluating at a point is one
-    gather from a table of coordinate powers and one matrix-vector product,
-    instead of a sparse loop per entry.
+    ``exponents`` is an (M, nvars) int array, ``coeffs`` the (k, M) complex
+    array; both are used as given.  Evaluating at a point is one gather
+    from a table of coordinate powers and one matrix-vector product.
 
-    A stack of points is evaluated in blocks of rows into one (N, d)
-    output, sized so that each temporary (power table, gathered monomials,
-    product) is at most about ``_BLOCK_BYTES`` however many points there
-    are.  Temporaries that small are reused from the heap; one per stack
-    would be megabytes at the quadrature checks' 4,096 nodes, a fresh
-    mapping whose pages fault in again on every call.
+    A stack of points is evaluated in blocks of rows into one (N, k)
+    output, each temporary (power table, gathered monomials, product) at
+    most about ``_BLOCK_BYTES``, which the heap reuses; one per stack would
+    be a fresh mapping whose pages fault in again on every call.
     """
-
-    __slots__ = ("nvars", "exponents", "coeffs", "_block_rows", "_powers")
 
     def __init__(self, exponents: np.ndarray, coeffs: np.ndarray):
         self.nvars = exponents.shape[1]
@@ -168,20 +88,20 @@ class DenseTable:
         row_items = max(self.nvars * (top + 1), exponents.size, len(coeffs))
         self._block_rows = max(1, _BLOCK_BYTES // (16 * row_items))
 
-    @classmethod
-    def from_polys(cls, polys: Sequence[MultiPoly]) -> "DenseTable":
-        """The table of a non-empty sequence of polynomials."""
-        expos = sorted({e for p in polys for e in p.terms})
-        column = {e: m for m, e in enumerate(expos)}
-        coeffs = np.zeros((len(polys), len(expos)), dtype=complex)
-        for k, p in enumerate(polys):
-            for e, c in p.terms.items():
-                coeffs[k, column[e]] = c
-        return cls(np.array(expos, dtype=int).reshape(len(expos), polys[0].nvars), coeffs)
+    @property
+    def entries(self) -> tuple[MultiPoly, ...]:
+        """The entries as term dicts, for rendering."""
+        expos = self.exponents.tolist()
+        return tuple(MultiPoly(self.nvars, {tuple(expos[m]): row[m] for m in np.flatnonzero(row)}) for row in self.coeffs)
+
+    @property
+    def degrees(self) -> np.ndarray:
+        """Each entry's total degree, -1 for the zero polynomial."""
+        return np.where(self.coeffs != 0, self.exponents.sum(axis=1), -1).max(axis=-1, initial=-1)
 
     def eval(self, points: Sequence[complex] | np.ndarray) -> np.ndarray:
-        """All entries at one point, (nvars,) -> (d,), or at each of a stack
-        of points, (N, nvars) -> (N, d).  A row of a stack is bit for bit
+        """All entries at one point, (nvars,) -> (k,), or at each of a stack
+        of points, (N, nvars) -> (N, k).  A row of a stack is bit for bit
         the value at that point alone."""
         z = np.asarray(points, dtype=complex)
         if z.ndim not in (1, 2) or z.shape[-1] != self.nvars:
@@ -202,83 +122,87 @@ class DenseTable:
         return (self.coeffs @ monomials[..., None])[..., 0]
 
 
-def max_coeff_diff(p: MultiPoly, q: MultiPoly) -> float:
-    """Max absolute coefficient difference over the union of supports."""
-    p._check_compatible(q)
-    keys = set(p.terms) | set(q.terms)
-    return max((abs(p.terms.get(e, 0j) - q.terms.get(e, 0j)) for e in keys), default=0.0)
+def prune(coeffs: np.ndarray, mags: np.ndarray) -> None:
+    """Zero, in place, each coefficient that is at most ``SERIES_ULPS`` ulps
+    of ``mags``, the magnitudes summed into it.  NaN is kept."""
+    coeffs[np.abs(coeffs) <= SERIES_ULPS * np.finfo(float).eps * mags] = 0
 
 
-class DiffOp1:
-    """First-order operator  f -> P*f + sum_i Q[i]*df/dz_i."""
-
-    __slots__ = ("P", "Q")
-
-    def __init__(self, P: MultiPoly, Q: Iterable[MultiPoly]):
-        self.P = P
-        self.Q = tuple(Q)
-        for q in self.Q:
-            if q.nvars != P.nvars:
-                raise ValueError("all component polynomials must share nvars")
-        if len(self.Q) != P.nvars:
-            raise ValueError(f"expected {P.nvars} derivative components, got {len(self.Q)}")
-
-    @property
-    def nvars(self) -> int:
-        return self.P.nvars
-
-    @classmethod
-    def zero(cls, nvars: int) -> "DiffOp1":
-        return cls(MultiPoly.zero(nvars), [MultiPoly.zero(nvars) for _ in range(nvars)])
-
-    def __add__(self, other: "DiffOp1") -> "DiffOp1":
-        return DiffOp1(self.P + other.P, [a + b for a, b in zip(self.Q, other.Q)])
-
-    def __sub__(self, other: "DiffOp1") -> "DiffOp1":
-        return DiffOp1(self.P - other.P, [a - b for a, b in zip(self.Q, other.Q)])
-
-    def __neg__(self) -> "DiffOp1":
-        return DiffOp1(-self.P, [-q for q in self.Q])
-
-    def __mul__(self, scalar) -> "DiffOp1":
-        return DiffOp1(self.P * scalar, [q * scalar for q in self.Q])
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"DiffOp1({render_diffop(self)})"
+def collect(ea: np.ndarray, eb: np.ndarray, pairs: np.ndarray, sizes: np.ndarray | None = None):
+    """Sum pair terms onto their monomials: pairs[..., i, j] is a coefficient
+    at z^(ea[i] + eb[j]).  Exponents are encoded as integers in mixed radix,
+    first variable most significant: sorted codes are sorted exponents, and
+    a sum of exponents is a sum of codes.  Pairs are summed per code in
+    pair order.  Returns (exponents, coeffs, mags) over the monomials some
+    row uses; with ``sizes``, the magnitudes the pairs carry, mags are their
+    sums and the coefficients are pruned against them (:func:`prune`),
+    without, mags is None.  A sum is a product by the one monomial 1."""
+    radix = ea.max(axis=0, initial=0) + eb.max(axis=0, initial=0) + 1
+    place = np.array([np.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
+    codes, where = np.unique((ea @ place)[:, None] + eb @ place, return_inverse=True)
+    lead, width = pairs.shape[:-2], len(codes)
+    rows = int(np.prod(lead))
+    index = (np.arange(rows)[:, None] * width + where.reshape(-1)).reshape(-1)
+    total = lambda w: np.bincount(index, w.reshape(-1), rows * width).reshape(rows, width)
+    coeffs = np.empty((rows, width), dtype=complex)
+    coeffs.real, coeffs.imag = total(pairs.real), total(pairs.imag)
+    mags = None if sizes is None else total(sizes)
+    if mags is not None:
+        prune(coeffs, mags)
+    used = coeffs.any(axis=0)
+    expos = codes[used, None] // place % radix
+    shape = (*lead, int(used.sum()))
+    return expos, coeffs[:, used].reshape(shape), None if mags is None else mags[:, used].reshape(shape)
 
 
-def diffop_apply(D: DiffOp1, f: MultiPoly) -> MultiPoly:
-    """Apply the operator: P*f + sum_i Q[i]*df/dz_i, pruned."""
-    if D.nvars != f.nvars:
-        raise ValueError(f"nvars mismatch: operator {D.nvars}, polynomial {f.nvars}")
-    out = D.P * f
-    for i, q in enumerate(D.Q):
-        out = out + q * f.partial(i)
-    return out
+def partials(exponents: np.ndarray, coeffs: np.ndarray):
+    """Every first partial derivative of rows over an (M, n) exponent table,
+    side by side: (exponents', owner, coeffs') with column l of coeffs' the
+    derivative in z_owner[l] at z^exponents'[l], one column per monomial
+    with a positive z_i exponent, lowered by one and times that exponent."""
+    owner, source = np.nonzero(exponents.T)
+    lowered = exponents[source] - np.eye(exponents.shape[1], dtype=int)[owner]
+    return lowered, owner, coeffs[..., source] * exponents[source, owner]
 
 
-def diffop_array(D: DiffOp1, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """D on the monomials z^e_m of an (M, n) exponent table: (out, A, S)
-    with the (M', n) output exponents (the M input ones first, in order),
-    the (M, M') array with D z^e_m = sum_m' A[m, m'] z^out[m'], so that
-    coefficients c on the table map to c @ A, and the real array S summing
-    the magnitudes of the terms each entry of A adds up."""
+def commutators(exponents: np.ndarray, left: np.ndarray, right: np.ndarray):
+    """[L, R_j] for one operator L, rows (P, Q_1 .. Q_n), and each of a
+    stack R of (J, n + 1, M) operators, all over one (M, n) exponent table.
+    First-order operators close under the commutator: the second-order
+    parts cancel and what remains is
+
+        P = L_Q . grad(R_P) - R_Q . grad(L_P),
+        Q_c = L_Q . grad(R_Q_c) - R_Q . grad(L_Q_c).
+
+    Returns (exponents', (J, n + 1, M') coefficients), unpruned; the two
+    products of each pair of terms are summed next to each other, so
+    [D, D] is exactly 0."""
+    dexp, owner, dleft = partials(exponents, left)
+    _, _, dright = partials(exponents, right)
+    forward = left[1:][owner].T * dright[:, :, None, :]  # L's Q_owner[l] at m times dR_j's column l
+    backward = np.swapaxes(right[:, 1:][:, owner], 1, 2)[:, None] * dleft[:, None, :]  # the same with L, R_j swapped
+    pairs = np.stack([forward, -backward], axis=-1).reshape(*forward.shape[:-1], -1)
+    return collect(exponents, np.repeat(dexp, 2, axis=0), pairs)[:2]
+
+
+def diffop_array(op: PolyEntries, exponents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator with rows (P, Q_1 .. Q_n) on the monomials z^e_m of an
+    (M, n) exponent table: (out, A, S) with the (M', n) output exponents
+    (the M input ones first, in order), the (M, M') array with
+    D z^e_m = sum_m' A[m, m'] z^out[m'], so that coefficients c on the
+    table map to c @ A, and the real array S summing the magnitudes of the
+    terms each entry of A adds up."""
     M, n = exponents.shape
+    if op.nvars != n:
+        raise ValueError(f"nvars mismatch: operator {op.nvars}, exponents {n}")
     # seeded with empty arrays, so that the zero operator concatenates too
     images, rows, values = [exponents], [np.zeros(0, dtype=int)], [np.zeros(0, dtype=complex)]
-    for e, c in D.P.terms.items():
-        images.append(exponents + e)
-        rows.append(np.arange(M))
-        values.append(np.full(M, c))
-    for i, q in enumerate(D.Q):
-        has = np.flatnonzero(exponents[:, i])
-        lowered = exponents[has] - np.eye(n, dtype=int)[i]
-        for e, c in q.terms.items():
-            images.append(lowered + e)
-            rows.append(has)
-            values.append(c * exponents[has, i])
+    for r, m in zip(*np.nonzero(op.coeffs)):
+        # P multiplies; Q_i differentiates in z_i, lowering its exponent
+        has = np.arange(M) if r == 0 else np.flatnonzero(exponents[:, r - 1])
+        images.append(exponents[has] - np.eye(n + 1, dtype=int)[r, 1:] + op.exponents[m])
+        rows.append(has)
+        values.append(op.coeffs[r, m] * (np.ones(M, dtype=int) if r == 0 else exponents[has, r - 1]))
     unique, first, where = np.unique(np.concatenate(images), axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)  # by first appearance: the input exponents come first
     column = np.empty_like(order)
@@ -290,38 +214,6 @@ def diffop_array(D: DiffOp1, exponents: np.ndarray) -> tuple[np.ndarray, np.ndar
     np.add.at(A, index, vals)
     np.add.at(S, index, np.abs(vals))
     return unique[order], A, S
-
-
-def diffop_commutator(D1: DiffOp1, D2: DiffOp1) -> DiffOp1:
-    """Commutator [D1, D2] of two first-order operators.
-
-    First-order operators close under the commutator: the second-order parts
-    cancel and what remains is
-        P  = Q1.grad(P2) - Q2.grad(P1),
-        Qi = Q1.grad(Q2[i]) - Q2.grad(Q1[i]),
-    where X.grad(f) = sum_k X[k] * df/dz_k.
-    """
-    if D1.nvars != D2.nvars:
-        raise ValueError(f"nvars mismatch: {D1.nvars} vs {D2.nvars}")
-    n = D1.nvars
-
-    def directional(Q, f):
-        out = MultiPoly.zero(n)
-        for k in range(n):
-            out = out + Q[k] * f.partial(k)
-        return out
-
-    P = directional(D1.Q, D2.P) - directional(D2.Q, D1.P)
-    Q = [directional(D1.Q, D2.Q[i]) - directional(D2.Q, D1.Q[i]) for i in range(n)]
-    return DiffOp1(P, Q)
-
-
-def diffop_max_diff(D1: DiffOp1, D2: DiffOp1) -> float:
-    """Max coefficientwise difference across P and all Q components."""
-    out = max_coeff_diff(D1.P, D2.P)
-    for a, b in zip(D1.Q, D2.Q):
-        out = max(out, max_coeff_diff(a, b))
-    return out
 
 
 # -- rendering -------------------------------------------------------------
@@ -380,8 +272,10 @@ def render_poly(p: MultiPoly, names: Sequence[str] | None = None) -> str:
     return " ".join(pieces)
 
 
-def render_diffop(D: DiffOp1, names: Sequence[str] | None = None) -> str:
-    parts = [f"P = {render_poly(D.P, names)}"]
-    for i, q in enumerate(D.Q):
+def render_diffop(op: PolyEntries, names: Sequence[str] | None = None) -> str:
+    """An operator with rows (P, Q_1 .. Q_n) as "P = ..., Q1 = ..."."""
+    P, *Q = op.entries
+    parts = [f"P = {render_poly(P, names)}"]
+    for i, q in enumerate(Q):
         parts.append(f"Q{i + 1} = {render_poly(q, names)}")
     return ", ".join(parts)

@@ -15,6 +15,14 @@ f_a = omega . phi_a = z_a + (a polynomial in lower-grade coordinates), and
 Q solves (I + N) Q = omega X phi - P f with N = df/dz - I, which the grading
 makes nilpotent, so its Neumann series terminates.
 
+A realized operator is one coefficient array: the rows P, Q_1 .. Q_n over
+an exponent table (:class:`polyops.PolyEntries`).  The closed form runs
+for a whole stack of generators at once, P = X[:, :, e0] @ C and
+f = phi.T @ C, with P f and the Neumann steps as products of stacked rows
+(:func:`polyops.collect`), each coefficient dropped only at cancellation
+residue of the magnitudes summed into it.  The homomorphism check forms
+every commutator on the same arrays.
+
 Polynomiality is a falsifiable hypothesis: the closed form uses only
 the e0 and phi components of the identity, so it is accepted only when the
 whole identity holds within the tolerance (each monomial's defect relative
@@ -32,14 +40,7 @@ import numpy as np
 from .algebra import AlgebraElement, OrbitModel, derived_matrix
 from .errors import CsorbitError, NonpolynomialRealizationError, PartialTableError
 from .orbit import Exp, act, coherent_covector, extract_coordinates, group_action, moved_covector
-from .polyops import (
-    DenseTable,
-    DiffOp1,
-    MultiPoly,
-    diffop_array,
-    diffop_commutator,
-    max_coeff_diff,
-)
+from .polyops import PolyEntries, collect, commutators, diffop_array, partials, prune
 
 SOLVER_TOL = 1e-9
 DEGREE_CAP = 6
@@ -48,7 +49,8 @@ FLOW_STEP = 1e-4
 
 @dataclass(eq=False)
 class RealizationTable:
-    """Realized operators per algebra basis index.
+    """Realized operators per algebra basis index, each with the rows P,
+    Q_1 .. Q_n over one exponent table that all of them share.
 
     ``residuals`` holds each accepted generator's relative intertwining
     defect (see :func:`_intertwining_defect`), and ``failures`` says why a
@@ -57,7 +59,7 @@ class RealizationTable:
     """
 
     labels: tuple[str, ...]
-    entries: dict[int, DiffOp1] = field(default_factory=dict)
+    entries: dict[int, PolyEntries] = field(default_factory=dict)
     residuals: dict[int, float] = field(default_factory=dict)
     failures: dict[int, str] = field(default_factory=dict)
 
@@ -68,41 +70,70 @@ class RealizationTable:
     def max_residual(self) -> float:
         return max(self.residuals.values(), default=0.0)
 
-    def operator(self, x: AlgebraElement) -> DiffOp1:
-        """D_x = sum_i x_i D_i, the realization being linear in x."""
+    def operator(self, x: AlgebraElement) -> PolyEntries:
+        """D_x = sum_i x_i D_i, the realization being linear in x, over the
+        monomials it uses."""
         if self.partial:
             raise PartialTableError("reading an operator needs a complete table")
-        terms = (c * self.entries[i] for i, c in enumerate(x.coeffs) if c != 0)
-        return sum(terms, DiffOp1.zero(self.entries[0].nvars))
+        rows = np.tensordot(x.coeffs, np.array([self.entries[i].coeffs for i in range(len(self.labels))]), 1)
+        used = rows.any(axis=0)
+        return PolyEntries(self.entries[0].exponents[used], rows[:, used])
 
 
-def symbol(model: OrbitModel, psi: Sequence[complex]) -> MultiPoly:
+def symbol(model: OrbitModel, psi: Sequence[complex]) -> PolyEntries:
     """Symbol of a representation-space vector: F_psi(z) = omega(z) . psi,
-    linear in psi, polynomial of degree bounded by the representation depth."""
+    one row psi @ C, linear in psi, polynomial of degree bounded by the
+    representation depth."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.shape[0] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[0]} != dim_rep {model.dim_rep}")
+    expos, rows, _ = _symbol_rows(model, psi[None, None])
+    return PolyEntries(expos, rows[0])
+
+
+def _symbol_rows(model: OrbitModel, psi: np.ndarray):
+    """The symbols of a (g, k, d) stack of vectors, each (k, d) block
+    multiplied as one alone and pruned as the series is: (exponents,
+    coefficients, magnitudes) over the monomials some row uses."""
     omega = coherent_covector(model)
-    return omega.poly(psi @ omega.coeffs)
+    rows, mags = psi @ omega.coeffs, np.abs(psi) @ np.abs(omega.coeffs)
+    prune(rows, mags)
+    used = rows.reshape(-1, rows.shape[-1]).any(axis=0)
+    return omega.exponents[used], rows[..., used], mags[..., used]
 
 
-def _closed_form(model: OrbitModel, X: np.ndarray) -> DiffOp1:
-    """P and Q of D_X from omega X = P omega + sum_i Q_i d_i omega, as in
-    the module docstring."""
+def _closed_form(model: OrbitModel, X: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q of D_X for each generator of a sequence X, as in the module
+    docstring: (exponents, (g, n + 1, M) rows P, Q_1 .. Q_n) over one table.
+    Every product and sum goes through :func:`polyops.collect`, which
+    carries the summed magnitudes and prunes against them as the series
+    does; a generator's rows are the ones it has alone."""
     n = model.n
     phi = model.derived.chart[3]
-    P = symbol(model, X[:, model.e0_index])
-    f = [symbol(model, phi[:, a]) for a in range(n)]
-    Xphi = X @ phi
-    Q = term = [symbol(model, Xphi[:, a]) - P * f[a] for a in range(n)]
-    N = [[f[a].partial(i) - float(a == i) for i in range(n)] for a in range(n)]
-    for _ in range(n - 1):  # N is strictly triangular in the grading
-        term = [-sum((N[a][i] * term[i] for i in range(n)), MultiPoly.zero(n)) for a in range(n)]
-        Q = [q + t for q, t in zip(Q, term)]
-    return DiffOp1(P, Q)
+    one = np.zeros((1, n), dtype=int)  # the monomial 1: a sum is a product by it
+
+    def add(a, b):  # two (exponents, coefficients, magnitudes) on their union
+        return collect(np.concatenate([a[0], b[0]]), one, *(np.concatenate(p, axis=-1)[..., None] for p in zip(a[1:], b[1:])))
+
+    eP, cP, sP = _symbol_rows(model, np.array([x[None, :, model.e0_index] for x in X]))  # (g, 1, M)
+    ef, (cf,), (sf,) = _symbol_rows(model, phi.T[None])  # f_a, (n, M)
+    Pf = collect(eP, ef, cP[..., None] * cf[:, None, :], sP[..., None] * sf[:, None, :])  # (g, n, M)
+    Q = add(_symbol_rows(model, np.array([(x @ phi).T for x in X])), (Pf[0], -Pf[1], Pf[2]))
+    if n > 1:  # N[a, i] = df_a/dz_i - delta_ai, from the derivative columns l in z_owner[l]
+        dexp, owner, df = partials(ef, cf)
+        mine = owner == np.arange(n)[:, None]
+        pairs = lambda d, eye: np.concatenate([np.where(mine, d[:, None], 0), eye[..., None]], axis=-1)[..., None]
+        N = collect(np.concatenate([dexp, one]), one, pairs(df, -np.eye(n)), pairs(partials(ef, sf)[2], np.eye(n)))
+        term, times = Q, lambda a, b: np.einsum("aim,gik->gamk", a, b)  # N[a, i] term[g, i], pairs of monomials
+        for _ in range(n - 1):  # N is strictly triangular in the grading: term <- -N term
+            term = collect(N[0], term[0], -times(N[1], term[1]), times(N[2], term[2]))
+            Q = add(Q, term)
+    rows = np.zeros((len(X), n + 1, len(eP) + len(Q[0])), dtype=complex)
+    rows[:, :1, : len(eP)], rows[:, 1:, len(eP) :] = cP, Q[1]
+    return collect(np.concatenate([eP, Q[0]]), one, rows[..., None])[:2]
 
 
-def _intertwining_defect(model: OrbitModel, op: DiffOp1, X: np.ndarray) -> tuple[float, float]:
+def _intertwining_defect(model: OrbitModel, op: PolyEntries, X: np.ndarray) -> tuple[float, float]:
     """Max coefficientwise defect of D F_{b_k} = F_{X b_k} over all basis
     vectors b_k: with (A, S) D's arrays on omega's exponents
     (:func:`polyops.diffop_array`), the rows of C @ A against those of
@@ -127,25 +158,30 @@ def _intertwining_defect(model: OrbitModel, op: DiffOp1, X: np.ndarray) -> tuple
     return float(relative[worst]), max(1.0, float(scale[worst]))
 
 
-def _degrees(op: DiffOp1) -> tuple[int, int]:
+def _degrees(op: PolyEntries) -> tuple[int, int]:
     """(deg P, max deg Q), the zero polynomial having degree -1."""
-    return op.P.degree(), max((q.degree() for q in op.Q), default=-1)
+    degrees = op.degrees
+    return int(degrees[0]), int(degrees[1:].max(initial=-1))
 
 
-def _realize(model: OrbitModel, X: np.ndarray, tol: float, degree_cap: int):
-    """(operator, defect, reason) for X; ``reason`` is None when the
-    closed form is accepted and otherwise says why it is not."""
+def _realize(model: OrbitModel, X: Sequence[np.ndarray], labels: tuple[str, ...], tol: float, degree_cap: int):
+    """The :class:`RealizationTable` of the generators X, their closed
+    forms found at once; a failure says why a generator is not accepted."""
     if degree_cap < 1:
         raise ValueError(f"degree_cap must be >= 1, got {degree_cap}")
-    op = _closed_form(model, X)
-    defect, scale = _intertwining_defect(model, op, X)
-    degree = max(_degrees(op))
-    reason = None
-    if not defect <= tol:
-        reason = f"intertwining defect {defect:.3e} > tol {tol:.1e} (scale {scale:.3e} at its monomial)"
-    elif degree > degree_cap:
-        reason = f"degree {degree} > degree cap {degree_cap}"
-    return op, defect, reason
+    expos, ops = _closed_form(model, X)
+    table = RealizationTable(labels=labels)
+    for idx, (x, coeffs) in enumerate(zip(X, ops)):
+        op = PolyEntries(expos, coeffs)
+        defect, scale = _intertwining_defect(model, op, x)
+        degree = max(_degrees(op))
+        if not defect <= tol:
+            table.failures[idx] = f"intertwining defect {defect:.3e} > tol {tol:.1e} (scale {scale:.3e} at its monomial)"
+        elif degree > degree_cap:
+            table.failures[idx] = f"degree {degree} > degree cap {degree_cap}"
+        else:
+            table.entries[idx], table.residuals[idx] = op, defect
+    return table
 
 
 def realize_generator(
@@ -153,34 +189,28 @@ def realize_generator(
     x: AlgebraElement,
     tol: float = SOLVER_TOL,
     degree_cap: int = DEGREE_CAP,
-) -> DiffOp1:
-    """Realize one algebra element as D = P + sum_i Q_i d/dz_i.
+) -> PolyEntries:
+    """Realize one algebra element as D = P + sum_i Q_i d/dz_i, the rows
+    P, Q_1 .. Q_n over the monomials they use.
 
     Raises :class:`NonpolynomialRealizationError` if the closed form misses
     the intertwining identity by more than ``tol`` (see
     :func:`_intertwining_defect`) or has degree above ``degree_cap``; for
     models outside the catalog that outcome is a legitimate finding.
     """
-    op, _, reason = _realize(model, derived_matrix(model, x), tol, degree_cap)
-    if reason is not None:
-        raise NonpolynomialRealizationError(f"no polynomial realization: {reason}")
-    return op
+    table = _realize(model, [derived_matrix(model, x)], ("x",), tol, degree_cap)
+    if table.partial:
+        raise NonpolynomialRealizationError(f"no polynomial realization: {table.failures[0]}")
+    return table.entries[0]
 
 
 def realize_all(
     model: OrbitModel, tol: float = SOLVER_TOL, degree_cap: int = DEGREE_CAP
 ) -> RealizationTable:
-    """Realize every basis generator; per-generator failures are recorded
-    and the remaining generators still realized."""
-    table = RealizationTable(labels=model.spec.basis_labels)
-    for idx in range(model.spec.dim):
-        op, defect, reason = _realize(model, model.rep.matrices[idx], tol, degree_cap)
-        if reason is None:
-            table.entries[idx] = op
-            table.residuals[idx] = defect
-        else:
-            table.failures[idx] = reason
-    return table
+    """Realize every basis generator in one closed form for the whole
+    basis; per-generator failures are recorded and the remaining
+    generators still realized."""
+    return _realize(model, model.rep.matrices, model.spec.basis_labels, tol, degree_cap)
 
 
 def intertwining_residual(model: OrbitModel, table: RealizationTable) -> float:
@@ -193,16 +223,20 @@ def intertwining_residual(model: OrbitModel, table: RealizationTable) -> float:
 
 
 def homomorphism_residual(model: OrbitModel, table: RealizationTable) -> float:
-    """Max defect of [D_i, D_j] = sum_k c(i,j,k) D_k over all basis pairs."""
+    """Max coefficient of [D_i, D_j] - sum_k c(i,j,k) D_k over all basis
+    pairs, unpruned, from :func:`polyops.commutators` of each D_i with the
+    D_j after it."""
     if table.partial:
         raise PartialTableError("homomorphism check needs a complete table")
+    dim, expos = model.spec.dim, table.entries[0].exponents
+    ops = np.array([table.entries[k].coeffs for k in range(dim)])
     worst = 0.0
-    for i in range(model.spec.dim):
-        for j in range(i + 1, model.spec.dim):
-            lhs = diffop_commutator(table.entries[i], table.entries[j])
-            diff = lhs - table.operator(AlgebraElement(model.spec.bracket(i, j)))
-            for p in (diff.P, *diff.Q):
-                worst = max(worst, max_coeff_diff(p, MultiPoly.zero(model.n)))
+    for i in range(dim - 1):
+        lhs_expos, lhs = commutators(expos, ops[i], ops[i + 1 :])
+        rhs = np.tensordot([model.spec.bracket(i, j) for j in range(i + 1, dim)], ops, 1)
+        pairs = np.concatenate([lhs, -rhs], axis=-1)[..., None]
+        _, diff, _ = collect(np.concatenate([lhs_expos, expos]), np.zeros((1, model.n), dtype=int), pairs)
+        worst = max(worst, float(np.max(np.abs(diff), initial=0.0)))
     return worst
 
 
@@ -235,7 +269,7 @@ def flow_crosscheck(
     points = np.atleast_2d(np.asarray(z0, dtype=complex))
     X = derived_matrix(model, x)
     op = realize_generator(model, x) if table is None else table.operator(x)
-    realized = DenseTable.from_polys([op.P, *op.Q]).eval(points)
+    realized = op.eval(points)
     flows = [(s, Exp(s * X), Exp(-s * X)) for s in (h, h / 2)]
 
     def central(z, s, g_plus, g_minus):

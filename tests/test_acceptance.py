@@ -11,12 +11,9 @@ import numpy as np
 
 from csorbit import (
     AlgebraElement,
-    DiffOp1,
-    MultiPoly,
     adjoint_residual,
     cocycle_residual,
     degree_report,
-    diffop_max_diff,
     extract_coordinates,
     flow_crosscheck,
     group_element,
@@ -29,6 +26,7 @@ from csorbit import (
 )
 from csorbit.algebra import covector_direct
 from csorbit.orbit import coherent_covector
+from csorbit.polyops import PolyEntries
 
 CATALOG = [
     ("su2", {"j": 0.5}),
@@ -48,20 +46,20 @@ def report(num, label, ok, detail):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def test_criterion_01_su2_golden_realization():
+def test_criterion_01_su2_golden_realization(coeff_gap):
     t0 = time.perf_counter()
     worst = 0.0
+    E = np.array([[0], [1], [2]])  # rows (P, Q1) over the exponents 1, z, z^2
     for j in (0.5, 1, 1.5, 2):
         m = load_model("su2", j=j)
-        z = MultiPoly.variable(1, 0)
         golden = {
-            0: DiffOp1(MultiPoly.constant(1, j), [-z]),
-            1: DiffOp1(MultiPoly.zero(1), [MultiPoly.constant(1, 1.0)]),
-            2: DiffOp1(2 * j * z, [-(z * z)]),
+            0: PolyEntries(E, np.array([[j, 0, 0], [0, -1, 0]])),
+            1: PolyEntries(E, np.array([[0, 0, 0], [1, 0, 0]])),
+            2: PolyEntries(E, np.array([[0, 2 * j, 0], [0, 0, -1]])),
         }
         table = realize_all(m)
         for idx, want in golden.items():
-            worst = max(worst, diffop_max_diff(table.entries[idx], want))
+            worst = max(worst, coeff_gap(table.entries[idx], want))
     elapsed = time.perf_counter() - t0
     report(
         1,
@@ -71,17 +69,17 @@ def test_criterion_01_su2_golden_realization():
     )
 
 
-def test_criterion_02_heisenberg_golden_realization():
+def test_criterion_02_heisenberg_golden_realization(coeff_gap):
     t0 = time.perf_counter()
     m = load_model("heisenberg", trunc=10, margin=3)
-    z = MultiPoly.variable(1, 0)
+    E = np.array([[0], [1]])  # rows (P, Q1) over the exponents 1, z
     golden = {
-        0: DiffOp1(MultiPoly.zero(1), [MultiPoly.constant(1, 1.0)]),
-        1: DiffOp1(z, [MultiPoly.zero(1)]),
-        2: DiffOp1(MultiPoly.constant(1, 1.0), [MultiPoly.zero(1)]),
+        0: PolyEntries(E, np.array([[0, 0], [1, 0]])),
+        1: PolyEntries(E, np.array([[0, 1], [0, 0]])),
+        2: PolyEntries(E, np.array([[1, 0], [0, 0]])),
     }
     table = realize_all(m)
-    worst = max(diffop_max_diff(table.entries[i], golden[i]) for i in range(3))
+    worst = max(coeff_gap(table.entries[i], golden[i]) for i in range(3))
     elapsed = time.perf_counter() - t0
     report(
         2,
@@ -159,7 +157,7 @@ def test_criterion_06_cocycle_suite():
 def test_criterion_07_kernel_golden_values():
     worst = 0.0
     for j in (0.5, 1, 1.5, 2):
-        kp = kernel(load_model("su2", j=j))
+        kp = kernel(load_model("su2", j=j)).entries[0]
         twoj = int(round(2 * j))
         for k in range(twoj + 1):
             got = kp.terms.get((k, k), 0.0)
@@ -167,7 +165,7 @@ def test_criterion_07_kernel_golden_values():
         off = [e for e in kp.terms if e[0] != e[1]]
         worst = max(worst, 1.0 if off else 0.0)
     trunc = 10
-    kp = kernel(load_model("heisenberg", trunc=trunc, margin=3))
+    kp = kernel(load_model("heisenberg", trunc=trunc, margin=3)).entries[0]
     for n in range(trunc + 1):
         got = kp.terms.get((n, n), 0.0)
         worst = max(worst, abs(got - 1.0 / math.factorial(n)))

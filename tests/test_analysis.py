@@ -15,7 +15,6 @@ from csorbit import (
     run_checks,
     symbol,
 )
-from csorbit.polyops import DenseTable
 
 
 def test_rule_normalization_su2(su2_one):
@@ -80,7 +79,7 @@ def test_parseval_gram_values_match_gaussian_moments(heis10):
 
     rule = quadrature_rule(heis10, 64, 64)
     pts = rule.nodes.reshape(-1, 1)
-    v3, v5 = DenseTable.from_polys([symbol(heis10, np.eye(11)[3]), symbol(heis10, np.eye(11)[5])]).eval(pts).T
+    v3, v5 = (symbol(heis10, np.eye(11)[k]).eval(pts)[:, 0] for k in (3, 5))
     assert np.sum(rule.weights * v3.conj() * v3) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.sum(rule.weights * v3.conj() * v5)) < 1e-12
     raw = np.sum(rule.weights * np.conj(pts[:, 0] ** 3) * pts[:, 0] ** 3)
@@ -120,9 +119,9 @@ def test_reproducing_heisenberg_interior(heis10, rng):
 
 
 def test_reproducing_heisenberg_trunc40_below_pruning(rng):
-    # the kernel's terms (z conj w)^k / k! for k >= 17 lie below PRUNE_TOL,
-    # so the residual shows whether K is summed from the tables or read
-    # from the pruned kernel polynomial (about 1e-9)
+    # the kernel's terms (z conj w)^k / k! for k >= 17 lie below 1e-14, so
+    # the residual shows whether K is summed with all of them (a kernel
+    # that drops them reads about 1e-9)
     m = load_model("heisenberg", trunc=40)
     rule = quadrature_rule(m, 64, 64)
     block = m.rep.block_dim

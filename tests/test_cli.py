@@ -350,6 +350,40 @@ def test_kernel_eval_negative_real_part_in_one_argument(capsys):
     assert complex(*value) == pytest.approx(1 + 2 * zw + zw**2, abs=1e-14)
 
 
+def test_kernel_eval_flags_add_up(capsys):
+    # each --eval adds its tokens; --eval=... takes a negative real part
+    code, out, report = invoke(["kernel", "--model", "su2", "--eval=-0.3,0.1", "--eval=0.2,0"], capsys)
+    assert code == 0
+    assert report.kernel["eval"]["z"] == [[-0.3, 0.1]]
+    assert report.kernel["eval"]["w"] == [[0.2, 0.0]]
+    assert "value: 0.94+0.02j" in out
+
+
+def test_heisenberg_trunc80_renders_every_term(capsys):
+    # the series and the kernel keep 1/sqrt(k!) and 1/k! however small: no
+    # entry of E or omega renders as "0", and K has all 81 terms z^k w^k
+    code, _, report = invoke(["kernel", "--model", "heisenberg", "--trunc", "80", "--vectors"], capsys)
+    assert code == 0
+    section = report.kernel
+    for key in ("coherent_vector", "covector"):
+        assert len(section[key]) == 81 and "0" not in section[key]
+    assert section["poly"].count(" + ") == 80
+    assert section["poly"].endswith("z1^80 w1^80")
+
+
+def test_quadrature_below_the_sized_rule_says_so(capsys):
+    # d = 81 sizes the rule to 64 x 82; 64 angles alias the symbols' products
+    base = ["check", "--model", "su11", "--k", "1.5", "--trunc", "80", "--suite", "parseval,reproducing,adjoint"]
+    note = "rule 64x64 is below the sized 64x82 for d = 81"
+    code, _, report = invoke([*base, "--quad", "64,64", "--json"], capsys)
+    assert code == 1
+    assert [(r["status"], r["note"]) for r in report.checks] == [("fail", note)] * 3
+    for quad in ([], ["--quad", "64,82"], ["--quad", "70,90"]):
+        code, _, report = invoke([*base, *quad, "--json"], capsys)
+        assert code == 0
+        assert all(r["status"] == "pass" and "note" not in r for r in report.checks)
+
+
 def _input_files(tmp_path) -> dict:
     """Malformed files named by the placeholders of the cases below."""
     nan_matrix = tmp_path / "nan.json"

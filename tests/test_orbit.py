@@ -23,7 +23,6 @@ from csorbit import (
     kernel,
     kernel_eval,
     load_model,
-    max_coeff_diff,
     model_from_dict,
     model_to_dict,
     normalization,
@@ -32,7 +31,7 @@ from csorbit import (
 )
 from csorbit.algebra import covector_direct, covector_numeric, derived_matrix
 from csorbit.orbit import Exp, act
-from csorbit.polyops import MultiPoly
+from csorbit.polyops import PolyEntries
 
 ALL_MODELS = [
     ("su2", {"j": 0.5}),
@@ -60,22 +59,17 @@ def _load(name, params):
     return model_from_dict(data)
 
 
-def test_spin_half_vectors(su2_half):
-    E = coherent_vector(su2_half).entries
-    om = coherent_covector(su2_half).entries
-    z = MultiPoly.variable(1, 0)
-    assert max_coeff_diff(E[0], MultiPoly.constant(1, 1.0)) == 0
-    assert max_coeff_diff(E[1], z) == 0
-    assert max_coeff_diff(om[0], MultiPoly.constant(1, 1.0)) == 0
-    assert max_coeff_diff(om[1], z) == 0
+def test_spin_half_vectors(su2_half, coeff_gap):
+    # entries 1 and z
+    want = PolyEntries(np.array([[0], [1]]), np.eye(2))
+    assert coeff_gap(coherent_vector(su2_half), want) == 0
+    assert coeff_gap(coherent_covector(su2_half), want) == 0
 
 
-def test_heisenberg_vector_entries():
+def test_heisenberg_vector_entries(coeff_gap):
     m = load_model("heisenberg", trunc=8)
-    E = coherent_vector(m).entries
-    for n in range(9):
-        expected = MultiPoly(1, {(n,): 1 / math.sqrt(math.factorial(n))})
-        assert max_coeff_diff(E[n], expected) < 1e-14
+    want = PolyEntries(np.arange(9)[:, None], np.diag([1 / math.sqrt(math.factorial(n)) for n in range(9)]))
+    assert coeff_gap(coherent_vector(m), want) < 1e-14
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
@@ -83,9 +77,9 @@ def test_extremal_entry_is_one_and_value_at_zero(name, params):
     m = load_model(name, **params)
     E = coherent_vector(m).entries
     om = coherent_covector(m).entries
-    one = MultiPoly.constant(m.n, 1.0)
-    assert max_coeff_diff(E[m.e0_index], one) == 0
-    assert max_coeff_diff(om[m.e0_index], one) == 0
+    one = {(0,) * m.n: 1.0}
+    assert E[m.e0_index].terms == one
+    assert om[m.e0_index].terms == one
     at_zero = np.array([e.eval(np.zeros(m.n)) for e in E])
     want = np.zeros(m.dim_rep)
     want[m.e0_index] = 1.0
@@ -116,23 +110,23 @@ def test_vector_matches_matrix_exponential(name, params, rng):
         assert np.max(np.abs(omv - conj_route)) < 1e-12
 
 
-def test_kernel_goldens(su2_half, su2_one):
+def test_kernel_goldens(su2_half, su2_one, coeff_gap):
     # j = 1/2: K = 1 + z w
-    kp = kernel(su2_half)
+    kp = kernel(su2_half).entries[0]
     assert kp.terms == {(0, 0): 1.0, (1, 1): 1.0}
     # j = 1: K = 1 + 2 z w + z^2 w^2
     kp1 = kernel(su2_one)
-    want = MultiPoly(2, {(0, 0): 1.0, (1, 1): 2.0, (2, 2): 1.0})
-    assert max_coeff_diff(kp1, want) < 1e-14
+    want = PolyEntries(np.array([[0, 0], [1, 1], [2, 2]]), np.array([[1.0, 2.0, 1.0]]))
+    assert coeff_gap(kp1, want) < 1e-14
     # evaluation example
-    assert kp1.eval([1, 1]) == pytest.approx(4.0)
+    assert kp1.entries[0].eval([1, 1]) == pytest.approx(4.0)
     assert kernel_eval(su2_one, [1], [1]) == pytest.approx(4.0)
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
 def test_kernel_hermitian_and_normalized_at_zero(name, params):
     m = load_model(name, **params)
-    kp = kernel(m)
+    kp = kernel(m).entries[0]
     n = m.n
     for expo, coeff in kp.terms.items():
         alpha, beta = expo[:n], expo[n:]
@@ -300,7 +294,6 @@ def test_one_series_per_model(monkeypatch):
     kernel(m)
     kernel_eval(m, [0.1, 0.2, 0.3], [0.3j, 0.2, 0.1])
     assert len(calls) == built
-    assert "table" not in vars(coherent_vector(m))
 
 
 @pytest.mark.parametrize("name,params,z", [("su2", {"j": 1}, [1e200]), ("heisenberg", {}, [1e100])])
@@ -316,7 +309,7 @@ def test_kernel_at_overflowing_point_is_an_error(name, params, z):
 @pytest.mark.parametrize("name,params", ALL_MODELS + [SU3_SUM_CHART])
 def test_kernel_eval_matches_kernel_polynomial(name, params, rng):
     m = _load(name, params)
-    kp = kernel(m)
+    kp = kernel(m).entries[0]
     for _ in range(5):
         z = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
         w = 0.5 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
@@ -325,19 +318,18 @@ def test_kernel_eval_matches_kernel_polynomial(name, params, rng):
 
 
 def test_dense_table_built_on_first_point_evaluation():
+    # omega's coefficient array is its table, and points read it alone:
+    # E(conj w) is read as conj(omega(w)), so E is not built for them
     m = load_model("su2", j=3)
-    kernel(m)  # builds E and omega without evaluating them at a point
-    assert "table" not in vars(coherent_covector(m))
-    assert "table" not in vars(coherent_vector(m))
+    kernel(m)
     kernel_eval(m, [0.1], [0.2j])
-    # E(conj w) is read as conj(omega(w)), so only omega's table is built
-    assert "table" in vars(coherent_covector(m)) and "table" not in vars(coherent_vector(m))
+    assert "covector" in vars(m.derived) and "vector" not in vars(m.derived)
 
 
-# heisenberg coefficients fall under the absolute PRUNE_TOL from k = 17 in
-# the expanded kernel polynomial (1/k!), which shows at chart points a few
-# units from the origin; the series, pruned relative to the magnitudes it
-# sums, keeps its entries k >= 27 (1/sqrt(k!))
+# heisenberg coefficients 1/sqrt(k!) and 1/k! are small but are no
+# cancellation residue: the series and the expanded kernel polynomial, both
+# pruned relative to the magnitudes they sum, keep them, which shows at
+# chart points a few units from the origin
 HEISENBERG_40 = ("heisenberg", {"trunc": 40})
 
 
@@ -365,11 +357,10 @@ def test_kernel_eval_matches_expm(name, params, rng):
         assert abs(kernel_eval(m, z, w) - ref) < 1e-12 * scale
 
 
-@pytest.mark.xfail(strict=True, reason="kernel terms k >= 17 fall under the absolute PRUNE_TOL")
 def test_kernel_polynomial_matches_kernel_eval_heisenberg_far_point():
     m = load_model(HEISENBERG_40[0], **HEISENBERG_40[1])
     ref = kernel_eval(m, [2.0], [2.0])
-    assert abs(kernel(m).eval([2.0, 2.0]) - ref) < 1e-12 * abs(ref)
+    assert abs(kernel(m).entries[0].eval([2.0, 2.0]) - ref) < 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("covector", [covector_numeric, covector_direct], ids=lambda f: f.__name__)
@@ -447,7 +438,7 @@ def test_su11_kernel_coefficients():
     # truncated binomial series of (1 - z w)^(-2k): coefficient (2k)_n / n!
     k, trunc = 1.5, 12
     m = load_model("su11", k=k, trunc=trunc)
-    kp = kernel(m)
+    kp = kernel(m).entries[0]
     for n in range(trunc + 1):
         poch = 1.0
         for i in range(n):
@@ -469,7 +460,7 @@ def _term_loop_scale(model, z, w):
     one by one."""
     point = list(z) + list(np.conj(w))
     scale = 0.0
-    for expo, coeff in kernel(model).terms.items():
+    for expo, coeff in kernel(model).entries[0].terms.items():
         mag = abs(coeff)
         for pi, ei in zip(point, expo):
             if ei:
@@ -603,7 +594,7 @@ def test_derived_data_is_collected_with_its_model():
     model = load_model("su2", j=2)
     omega = coherent_covector(model)
     assert coherent_covector(model) is omega and kernel(model) is kernel(model)
-    covector_numeric(model, [0.1])  # builds the dense table as well
+    covector_numeric(model, [0.1])  # evaluates omega at a point as well
     refs = weakref.ref(model), weakref.ref(omega)
     del model, omega
     gc.collect()

@@ -6,10 +6,8 @@ import scipy.linalg
 
 from csorbit import (
     AlgebraElement,
-    DiffOp1,
     LieAlgebraSpec,
     MatrixRep,
-    MultiPoly,
     NonpolynomialRealizationError,
     OrbitModel,
     PartialTableError,
@@ -17,20 +15,18 @@ from csorbit import (
     PolarDivisorError,
     cocycle_residual,
     degree_report,
-    diffop_apply,
-    diffop_max_diff,
     flow_crosscheck,
     group_element,
     homomorphism_residual,
     intertwining_residual,
     load_model,
-    max_coeff_diff,
     realize_all,
     realize_generator,
     symbol,
 )
 from csorbit.algebra import derived_matrix
 from csorbit.orbit import Exp, coherent_covector
+from csorbit.polyops import PolyEntries, diffop_array, partials
 from csorbit.realize import _closed_form, _intertwining_defect
 
 ALL_MODELS = [
@@ -47,97 +43,116 @@ ALL_MODELS = [
 
 
 def su2_golden_table(j):
-    z = MultiPoly.variable(1, 0)
+    """The su2 operators as rows (P, Q1) over the exponents 1, z, z^2."""
+    E = np.array([[0], [1], [2]])
     return {
-        "J0": DiffOp1(MultiPoly.constant(1, j), [-z]),
-        "J+": DiffOp1(MultiPoly.zero(1), [MultiPoly.constant(1, 1.0)]),
-        "J-": DiffOp1(2 * j * z, [-(z * z)]),
+        "J0": PolyEntries(E, np.array([[j, 0, 0], [0, -1, 0]])),
+        "J+": PolyEntries(E, np.array([[0, 0, 0], [1, 0, 0]])),
+        "J-": PolyEntries(E, np.array([[0, 2 * j, 0], [0, 0, -1]])),
     }
 
 
-def test_symbol_examples(su2_half, heis10):
-    one = MultiPoly.constant(1, 1.0)
-    assert max_coeff_diff(symbol(su2_half, [1, 0]), one) == 0
-    assert max_coeff_diff(symbol(su2_half, [0, 1]), MultiPoly.variable(1, 0)) == 0
-    import math
+def heisenberg_golden_table():
+    """The heisenberg operators as rows (P, Q1) over the exponents 1, z."""
+    E = np.array([[0], [1]])
+    return {
+        "a": PolyEntries(E, np.array([[0, 0], [1, 0]])),
+        "a+": PolyEntries(E, np.array([[0, 1], [0, 0]])),
+        "e": PolyEntries(E, np.array([[1, 0], [0, 0]])),
+    }
 
+
+def test_symbol_examples(su2_half, heis10, coeff_gap):
+    E = np.array([[0], [1]])
+    assert coeff_gap(symbol(su2_half, [1, 0]), PolyEntries(E, np.array([[1, 0]]))) == 0
+    assert coeff_gap(symbol(su2_half, [0, 1]), PolyEntries(E, np.array([[0, 1]]))) == 0
     for n in (0, 3, 7):
         psi = np.zeros(11)
         psi[n] = 1.0
-        want = MultiPoly(1, {(n,): 1 / math.sqrt(math.factorial(n))})
-        assert max_coeff_diff(symbol(heis10, psi), want) < 1e-14
+        want = PolyEntries(np.array([[n]]), np.array([[1 / math.sqrt(math.factorial(n))]]))
+        assert coeff_gap(symbol(heis10, psi), want) < 1e-14
 
 
 def test_symbol_linearity(su2_one, rng):
     f = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     g = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     a, b = 0.3 + 1j, -2.0
-    lhs = symbol(su2_one, a * f + b * g)
-    rhs = a * symbol(su2_one, f) + b * symbol(su2_one, g)
-    assert max_coeff_diff(lhs, rhs) < 1e-12
+    lhs = symbol(su2_one, a * f + b * g).coeffs
+    rhs = a * symbol(su2_one, f).coeffs + b * symbol(su2_one, g).coeffs
+    assert np.max(np.abs(lhs - rhs)) < 1e-12
     with pytest.raises(ValueError):
         symbol(su2_one, [1, 0])
 
 
 @pytest.mark.parametrize("j", [0.5, 1, 1.5, 2])
-def test_su2_golden_realization(j):
+def test_su2_golden_realization(j, coeff_gap):
     m = load_model("su2", j=j)
     golden = su2_golden_table(j)
     table = realize_all(m)
     assert not table.partial
     for idx, label in enumerate(m.spec.basis_labels):
-        assert diffop_max_diff(table.entries[idx], golden[label]) < 1e-10
+        assert coeff_gap(table.entries[idx], golden[label]) < 1e-10
         assert table.residuals[idx] < 1e-10
 
 
-def test_heisenberg_golden_realization(heis10):
-    z = MultiPoly.variable(1, 0)
+def test_heisenberg_golden_realization(heis10, coeff_gap):
     table = realize_all(heis10)
-    golden = {
-        "a": DiffOp1(MultiPoly.zero(1), [MultiPoly.constant(1, 1.0)]),
-        "a+": DiffOp1(z, [MultiPoly.zero(1)]),
-        "e": DiffOp1(MultiPoly.constant(1, 1.0), [MultiPoly.zero(1)]),
-    }
+    golden = heisenberg_golden_table()
     for idx, label in enumerate(heis10.spec.basis_labels):
-        assert diffop_max_diff(table.entries[idx], golden[label]) < 1e-10
+        assert coeff_gap(table.entries[idx], golden[label]) < 1e-10
+
+
+@pytest.mark.parametrize("k", [1, 1.5, 3])
+def test_su11_golden_realization(k, coeff_gap):
+    # K0 = k + z d/dz, K+ = 2k z + z^2 d/dz, K- = d/dz over the exponents 1, z, z^2
+    m = load_model("su11", k=k)
+    E = np.array([[0], [1], [2]])
+    golden = {
+        "K0": PolyEntries(E, np.array([[k, 0, 0], [0, 1, 0]])),
+        "K+": PolyEntries(E, np.array([[0, 2 * k, 0], [0, 0, 1]])),
+        "K-": PolyEntries(E, np.array([[0, 0, 0], [1, 0, 0]])),
+    }
+    table = realize_all(m)
+    for idx, label in enumerate(m.spec.basis_labels):
+        assert coeff_gap(table.entries[idx], golden[label]) < 1e-10
 
 
 def test_realize_zero_element(su2_one):
     op = realize_generator(su2_one, AlgebraElement(np.zeros(3)))
-    assert diffop_max_diff(op, DiffOp1.zero(1)) == 0
+    assert op.coeffs.shape[0] == 2 and not np.any(op.coeffs)
 
 
-def test_realize_linearity(su2_one, rng):
+def test_realize_linearity(su2_one, rng, on_table, coeff_gap):
     x = AlgebraElement(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     y = AlgebraElement(rng.standard_normal(3) + 1j * rng.standard_normal(3))
     a, b = 1.2 - 0.7j, 0.4 + 0.4j
     dx = realize_generator(su2_one, x)
     dy = realize_generator(su2_one, y)
     dxy = realize_generator(su2_one, AlgebraElement(a * x.coeffs + b * y.coeffs))
-    assert diffop_max_diff(dxy, a * dx + b * dy) < 1e-10
+    E = np.array([[0], [1], [2]])
+    combined = a * on_table(dx.exponents, dx.coeffs, E) + b * on_table(dy.exponents, dy.coeffs, E)
+    assert coeff_gap(dxy, PolyEntries(E, combined)) < 1e-10
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
-def test_intertwining_identity(name, params):
+def test_intertwining_identity(name, params, on_table):
     m = load_model(name, **params)
     table = realize_all(m)
     assert not table.partial
     assert intertwining_residual(m, table) <= 1e-9
-    # spot check through the public pieces: D_x F_bk = F_(X bk)
+    # spot check through the public pieces: D_x F_bk = F_(X bk), with D_x
+    # applied through its array on omega's exponents
     X = np.array(m.rep.matrices[0])
-    op = table.entries[0]
+    E = coherent_covector(m).exponents
+    out, A, _ = diffop_array(table.entries[0], E)
+    on_omega = lambda p: on_table(p.exponents, p.coeffs[0], E)
+    limit = m.rep.block_dim if m.rep.truncated else np.inf
     for k in range(m.dim_rep):
         bk = np.zeros(m.dim_rep)
         bk[k] = 1.0
-        lhs = diffop_apply(op, symbol(m, bk))
-        rhs = symbol(m, X @ bk)
-        diff = lhs - rhs
-        limit = m.rep.block_dim if m.rep.truncated else None
-        worst = max(
-            (abs(c) for e, c in diff.terms.items() if limit is None or sum(e) <= limit),
-            default=0.0,
-        )
-        assert worst <= 1e-9
+        diff = on_omega(symbol(m, bk)) @ A
+        diff[: len(E)] -= on_omega(symbol(m, X @ bk))
+        assert np.max(np.abs(diff[out.sum(axis=1) <= limit]), initial=0.0) <= 1e-9
 
 
 @pytest.mark.parametrize("name,params", ALL_MODELS)
@@ -152,7 +167,7 @@ def test_realize_all_abelian_trivial():
     m = OrbitModel(spec=spec, rep=rep, e0_index=0, mprime=(), grading=())
     table = realize_all(m)
     assert not table.partial
-    assert diffop_max_diff(table.entries[0], DiffOp1.zero(0)) == 0
+    assert table.entries[0].coeffs.shape[0] == 1 and not np.any(table.entries[0].coeffs)
 
 
 def corrupted_su2(j=1):
@@ -344,35 +359,41 @@ def test_cocycle_by_generators_raises_first_failing_pair(su2_one, rng):
     assert str(stacked.value) == str(alone.value)
 
 
-def _multipoly_defect(model, op, X):
-    """The intertwining defect summed on MultiPoly entries, each product and
-    sum pruned below PRUNE_TOL."""
-    omega = coherent_covector(model).entries
-    size = DiffOp1(abs(op.P), [abs(q) for q in op.Q])
-    limit = model.rep.block_dim if model.rep.truncated else math.inf
-    worst = 0.0
-    for k in range(model.dim_rep):
-        diff = diffop_apply(op, omega[k]) - symbol(model, X[:, k])
-        rhs = sum((abs(X[j, k] * omega[j]) for j in np.flatnonzero(X[:, k])), MultiPoly.zero(model.n))
-        terms = diffop_apply(size, abs(omega[k])) + rhs
-        for e, c in diff.terms.items():
-            if sum(e) <= limit:
-                worst = max(worst, abs(c) / max(1.0, terms.terms.get(e, 0j).real))
-    return worst
+def _pointwise_gap(model, op, X, z):
+    """The largest entry of omega(z) X - P omega(z) - sum_i Q_i d_i omega(z)
+    at the points z, over the artifact-free block, relative to the largest
+    entry of omega(z) X (floored at 1)."""
+    omega = coherent_covector(model)
+    dexp, owner, dcoeffs = partials(omega.exponents, omega.coeffs)
+    at, values = omega.eval(z), op.eval(z)
+    rhs = values[:, :1] * at
+    for i in range(model.n):
+        rhs = rhs + values[:, 1 + i, None] * PolyEntries(dexp[owner == i], dcoeffs[:, owner == i]).eval(z)
+    block = model.rep.block_dim
+    lhs = at @ X
+    return float(np.max(np.abs(lhs - rhs)[:, :block]) / max(1.0, np.max(np.abs(lhs[:, :block]))))
 
 
 @pytest.mark.parametrize(
     "name,params", [("su2", {}), ("heisenberg", {}), ("su11", {}), ("su3", {}), ("su3", {"p": 4, "q": 4})]
 )
-def test_array_defect_matches_multipoly_form(name, params):
-    # the MultiPoly form drops every coefficient below PRUNE_TOL = 1e-14 on
-    # the way, a defect included; otherwise the two agree to rounding
+def test_array_defect_matches_pointwise_identity(name, params, rng):
+    # the defining identity omega(z) X = P omega + sum_i Q_i d_i omega holds
+    # at random points to rounding, as the array defect says; with one
+    # coefficient of P moved by 1e-6 both see it
     m = load_model(name, **params)
-    for X in m.rep.matrices:
-        op = _closed_form(m, X)
+    z = 0.3 * (rng.standard_normal((4, m.n)) + 1j * rng.standard_normal((4, m.n)))
+    expos, ops = _closed_form(m, m.rep.matrices)
+    for X, coeffs in zip(m.rep.matrices, ops):
+        op = PolyEntries(expos, coeffs)
         defect, scale = _intertwining_defect(m, op, X)
         assert scale >= 1
-        assert abs(defect - _multipoly_defect(m, op, X)) <= 1e-14 + 8 * np.finfo(float).eps
+        assert defect <= 1e-14 and _pointwise_gap(m, op, X, z) <= 1e-13
+        moved = coeffs.copy()
+        moved[0, np.flatnonzero(expos.sum(axis=1) == 0)] += 1e-6  # P's constant term
+        moved_op = PolyEntries(expos, moved)
+        assert _intertwining_defect(m, moved_op, X)[0] >= 1e-8
+        assert _pointwise_gap(m, moved_op, X, z) >= 1e-8
 
 
 def test_degree_reports():
@@ -387,7 +408,7 @@ def test_degree_reports():
 def test_escalation_finds_minimal_degree(su2_one):
     # J- has degree 2 (P = 2z, Q = -z^2), within the default cap
     op = realize_generator(su2_one, AlgebraElement.basis(3, 2))
-    assert max(op.P.degree(), max(q.degree() for q in op.Q)) == 2
+    assert max(op.degrees) == 2
 
 
 @pytest.mark.parametrize("p,q", [(1, 2), (2, 2)])
@@ -418,7 +439,7 @@ def test_su3_33_degrees_match_su3_11(su3_11):
     assert large == small
 
 
-def test_large_spin_realizes_with_relative_defect():
+def test_large_spin_realizes_with_relative_defect(coeff_gap):
     # su2 j=40: the identity's coefficients reach 1.3e13, so the defect is only
     # meaningful relative to them
     m = load_model("su2", j=40)
@@ -427,7 +448,7 @@ def test_large_spin_realizes_with_relative_defect():
     assert table.max_residual() <= 1e-12
     golden = su2_golden_table(40)
     for idx, label in enumerate(m.spec.basis_labels):
-        assert diffop_max_diff(table.entries[idx], golden[label]) < 1e-10
+        assert coeff_gap(table.entries[idx], golden[label]) < 1e-10
 
 
 @pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
@@ -441,15 +462,15 @@ def test_flow_crosscheck_stack_is_max_of_points(name, params, rng):
 
 
 @pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
-def test_table_operator_is_linear_realization(name, params, rng):
+def test_table_operator_is_linear_realization(name, params, rng, coeff_gap):
     m = load_model(name, **params)
     table = realize_all(m)
     x = AlgebraElement(rng.standard_normal(m.spec.dim) + 1j * rng.standard_normal(m.spec.dim))
-    assert diffop_max_diff(table.operator(x), realize_generator(m, x)) < 1e-10
+    assert coeff_gap(table.operator(x), realize_generator(m, x)) < 1e-10
     points = 0.3 * (rng.standard_normal((5, m.n)) + 1j * rng.standard_normal((5, m.n)))
     for idx in range(m.spec.dim):
         basis = AlgebraElement.basis(m.spec.dim, idx)
-        assert diffop_max_diff(table.operator(basis), table.entries[idx]) == 0
+        assert coeff_gap(table.operator(basis), table.entries[idx]) == 0
         assert flow_crosscheck(m, basis, points, table=table) == flow_crosscheck(m, basis, points)
 
 
