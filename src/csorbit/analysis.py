@@ -12,10 +12,13 @@ kind with a uniform angular grid:
     bergman-disk   u = r^2,        Gauss-Jacobi with weight (1-u)^{2k-2}
 
 so the node weights sum to the total mass 1 exactly up to rule exactness.
-Integrands are evaluated at all nodes at once by ``PolyEntries.eval``, the
-kernel K(z, conj w) as omega(z) . conj(omega(w)) on omega's array.  The
-integrands are evaluated with numpy's warnings off: at the outer nodes of a
-large model they overflow, and the residual comes out large or NaN.
+Each check integrates conj(f) g for polynomials given by coefficient rows
+a, b over a rank-one exponent table e_m, which on the rule is the form
+sum conj(a_m) b_m' sum_i w_i r_i^(e_m + e_m') over the pairs with A
+dividing e_m - e_m' (the A angles sum the others to 0), so no integrand is
+evaluated at the nodes.  :func:`_pairing` sums each pair in log space
+relative to the monomials' norms, so no weight underflows where a symbol
+overflows; A > d keeps only the diagonal, a smaller A its aliased pairs.
 Models without a measure (e.g. the su3 catalog entry) cannot run these
 checks and raise :class:`UnsupportedCheckError`.
 """
@@ -26,12 +29,12 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
+from scipy.special import logsumexp, roots_jacobi
 
-from .algebra import AlgebraElement, MeasureSpec, OrbitModel
+from .algebra import AlgebraElement, OrbitModel
 from .errors import UnsupportedCheckError
 from .orbit import coherent_covector
-from .polyops import PolyEntries, diffop_array
+from .polyops import diffop_array
 from .realize import RealizationTable, realize_generator
 
 QUAD_RADIAL = 64
@@ -40,14 +43,25 @@ QUAD_ANGULAR = 64
 
 @dataclass(eq=False)
 class QuadratureRule:
-    """Nodes and weights approximating integration against the invariant
-    measure on the chart; ``mass_defect`` is |sum(weights) - 1|."""
+    """Radial Gauss nodes r_i with weights w_i, kept as ``log_r`` and
+    ``log_w``, times ``angular`` uniform angles; ``mass_defect`` is
+    |sum(w) - 1|."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    log_r: np.ndarray
+    log_w: np.ndarray
     radial: int
     angular: int
     mass_defect: float
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The tensor rule's nodes r_i exp(2 pi i l / A), radius-major."""
+        return np.outer(np.exp(self.log_r), np.exp(2j * np.pi * np.arange(self.angular) / self.angular)).ravel()
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The weight w_i / A of each node of :attr:`nodes`."""
+        return np.repeat(np.exp(self.log_w) / self.angular, self.angular)
 
 
 def sized_counts(model: OrbitModel) -> tuple[int, int]:
@@ -76,28 +90,40 @@ def quadrature_rule(model: OrbitModel, radial: int | None = None, angular: int |
         raise ValueError("radial and angular node counts must be >= 1")
     if ms.kind == "gaussian":
         u, wu = np.polynomial.laguerre.laggauss(radial)
-        r = np.sqrt(u)
-        wrad = wu
+        log_u, log_w = np.log(u), np.log(wu)
     elif ms.kind == "fubini-study":
         j = float(ms.params["j"])
         x, wx = np.polynomial.legendre.leggauss(radial)
         t = (x + 1.0) / 2.0
-        r = np.sqrt(t / (1.0 - t))
-        wrad = (2 * j + 1) * (1.0 - t) ** (2 * j) * (wx / 2.0)
+        log_u = np.log(t) - np.log1p(-t)
+        log_w = np.log(2 * j + 1) + 2 * j * np.log1p(-t) + np.log(wx / 2.0)
     elif ms.kind == "bergman-disk":
         k = float(ms.params["k"])
-        alpha = 2 * k - 2
-        x, wx = roots_jacobi(radial, alpha, 0.0)
-        u = (x + 1.0) / 2.0
-        r = np.sqrt(u)
-        wrad = (2 * k - 1) * 2.0 ** (-(2 * k - 1)) * wx
+        x, wx = roots_jacobi(radial, 2 * k - 2, 0.0)
+        log_u = np.log((x + 1.0) / 2.0)
+        log_w = np.log(2 * k - 1) - (2 * k - 1) * np.log(2.0) + np.log(wx)
     else:  # pragma: no cover - MeasureSpec already validates kinds
         raise UnsupportedCheckError(f"unsupported measure kind {ms.kind!r}")
-    theta = 2.0 * np.pi * np.arange(angular) / angular
-    nodes = np.outer(r, np.exp(1j * theta)).ravel()
-    weights = np.repeat(wrad / angular, angular)
-    mass_defect = float(abs(weights.sum() - 1.0))
-    return QuadratureRule(nodes, weights, radial, angular, mass_defect)
+    mass_defect = float(abs(np.exp(log_w).sum() - 1.0))
+    return QuadratureRule(log_u / 2.0, log_w, radial, angular, mass_defect)
+
+
+def _pairing(rule: QuadratureRule, exponents: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S, H) for coefficient rows over a rank-one (M, 1) exponent table,
+    such that the rule's sum of conj(f_k) f_l is conj(S[k]) @ H @ S[l].
+    With h_e = log ||z^e|| = logsumexp_i(log w_i + 2e log r_i) / 2, S is the
+    rows times exp(h), and H[m, m'] = sum_i exp(log w_i + (e + e') log r_i -
+    h_e - h_e') <= 1, summed directly for each pair with A dividing e - e'
+    and 0 for the others."""
+    e = exponents[:, 0]
+    h = logsumexp(rule.log_w + 2 * e[:, None] * rule.log_r, axis=1) / 2
+    m, m2 = np.nonzero((e[:, None] - e) % rule.angular == 0)
+    H = np.zeros((len(e), len(e)))
+    H[m, m2] = np.exp(rule.log_w + (e[m] + e[m2])[:, None] * rule.log_r - (h[m] + h[m2])[:, None]).sum(axis=1)
+    # by two factors exp(h / 2): exp(h) overflows where a coefficient is
+    # subnormal (heisenberg from z^301 on, h = log(301!) / 2 > 709)
+    root = np.exp(h / 2)
+    return rows * root * root, H
 
 
 def parseval_residual(
@@ -108,32 +134,35 @@ def parseval_residual(
     and (by sesquilinearity) the isometry of the symbol map.
 
     For truncated models the default basis is the artifact-free interior
-    block, read as a view of the node values (a list of indices copies).
+    block of omega's rows.
     """
-    with np.errstate(all="ignore"):
-        at_nodes = coherent_covector(model).eval(rule.nodes[:, None])
-        V = (at_nodes[:, : model.rep.block_dim] if basis_indices is None else at_nodes[:, list(basis_indices)]).T
-        G = (V.conj() * rule.weights) @ V.T
-        return float(np.max(np.abs(G - np.eye(len(V)))))
+    omega = coherent_covector(model)
+    C = omega.coeffs[: model.rep.block_dim] if basis_indices is None else omega.coeffs[list(basis_indices)]
+    V, H = _pairing(rule, omega.exponents, C)
+    G = V.conj() @ H @ V.T
+    return float(np.max(np.abs(G - np.eye(len(V)))))
 
 
 def reproducing_residual(
     model: OrbitModel, rule: QuadratureRule, psi: Sequence[complex], w: Sequence[complex]
 ) -> float:
-    """|F_psi(w) - integral conj(K_w(z)) F_psi(z) dnu(z)|, the point-evaluation
-    property of K_w(z) = K(z, conj w) summed as in :func:`orbit.kernel_eval`.
-    ``psi`` and ``w`` are one vector and one point, or (K, d) and (K, n)
-    stacks that share one evaluation at the nodes; returns the max residual."""
+    """|F_psi(w) - integral conj(K_w(z)) F_psi(z) dnu(z)| over the scale
+    max(1, sum_k |omega_k(w) psi_k|) of the terms F_psi(w) sums: the
+    point-evaluation property of K_w(z) = K(z, conj w) = omega(z) .
+    conj(omega(w)), whose coefficients are conj(omega(w)) @ C.  ``psi`` and
+    ``w`` are one vector and one point, or (K, d) and (K, n) stacks;
+    returns the max relative residual."""
     psi = np.atleast_2d(np.asarray(psi, dtype=complex))
     w = np.atleast_2d(np.asarray(w, dtype=complex))
     if psi.shape[1] != model.dim_rep:
         raise ValueError(f"psi length {psi.shape[1]} != dim_rep {model.dim_rep}")
     omega = coherent_covector(model)
-    with np.errstate(all="ignore"):
-        at_nodes, at_w = omega.eval(rule.nodes[:, None]), omega.eval(w)
-        k_w = at_nodes @ at_w.conj().T  # E(conj w) = conj(omega(w))
-        integrals = rule.weights @ (k_w.conj() * (at_nodes @ psi.T))
-        return float(np.max(np.abs(np.sum(at_w * psi, axis=1) - integrals)))
+    at_w = omega.eval(w)
+    terms = at_w * psi
+    (u, v), H = _pairing(rule, omega.exponents, np.array([at_w.conj(), psi]) @ omega.coeffs)
+    integrals = np.sum(u.conj() * (v @ H), axis=1)
+    residuals = np.abs(terms.sum(axis=1) - integrals) / np.maximum(1.0, np.abs(terms).sum(axis=1))
+    return float(np.max(residuals))
 
 
 def adjoint_residual(
@@ -171,8 +200,6 @@ def adjoint_residual(
     symbols[1, : len(g_sym)] = g_sym
     symbols[2, : len(f_sym)] = f_sym
     symbols[3] = symbols[1, : len(expos_x)] @ A_xs
-    with np.errstate(all="ignore"):
-        values = PolyEntries(expos, symbols).eval(rule.nodes[:, None])
-        lhs = np.sum(rule.weights * values[:, 0].conj() * values[:, 1])
-        rhs = np.sum(rule.weights * values[:, 2].conj() * values[:, 3])
-        return float(abs(lhs - rhs))
+    S, H = _pairing(rule, expos, symbols)
+    lhs, rhs = np.sum(S[[0, 2]].conj() * (S[[1, 3]] @ H), axis=1)
+    return float(abs(lhs - rhs))

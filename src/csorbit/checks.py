@@ -54,10 +54,11 @@ COCYCLE_PAIRS = 50
 ROUNDTRIP_DRAWS = 20
 REPRODUCING_DRAWS = 5
 RNG_SEED = 20240801
-# The cocycle check acts on its pairs in blocks, so that each stack of
-# generators (of g1 and of g2) stays within this many bytes: one block for
-# every model up to d = 102, and a few such stacks at a time however large
-# the representation (all 50 pairs at once would take 2.5 GB at d = 1,024).
+# The flow and cocycle checks act in blocks of generators, so that each
+# stack of generators stays within this many bytes: one block for every
+# model up to d = 102 (the cocycle's 50 pairs) or d = 256 (the flow's su3
+# basis), and a few such stacks at a time however large the representation
+# (all 50 cocycle pairs at once would take 2.5 GB at d = 1,024).
 STACK_BYTES = 8 * 2**20
 
 # the validate_model metrics whose maximum each validation check reports
@@ -163,12 +164,14 @@ def run_checks(
             ok = observed <= bound if op == "le" else observed == bound
             return observed, float(bound), "pass" if ok else "fail", f"target {op} {bound}"
         if name == "flow":
-            residuals = []
-            for idx in range(model.spec.dim):
-                x = AlgebraElement.basis(model.spec.dim, idx)
-                points = [_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)]
-                residuals.append(realize.flow_crosscheck(model, x, points, table=table))
-            return _measured(float(np.max(residuals)), check_tol)
+            basis = [AlgebraElement.basis(model.spec.dim, idx) for idx in range(model.spec.dim)]
+            points = np.array([[_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)] for _ in basis])
+            block = max(1, STACK_BYTES // (16 * model.dim_rep**2))
+            residuals = [
+                realize.flow_crosscheck(model, basis[k : k + block], points[k : k + block], table=table)
+                for k in range(0, len(basis), block)
+            ]
+            return _measured(float(np.max(np.concatenate(residuals))), check_tol)
         if name == "cocycle":
             if cocycle_pair is not None:
                 points = np.array([_random_point(rng, model, 0.3) for _ in range(5)])

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import json
 import math
 import sys
@@ -89,6 +90,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # built on first use and reused: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="csorbit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -278,9 +280,8 @@ def cmd_check(args) -> tuple[int, RunReport]:
 
 def run(argv=None) -> tuple[int, RunReport | None]:
     """Parse arguments and execute; returns (exit code, report)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return (int(exc.code) if exc.code else 0), None
     commands = {"catalog": cmd_catalog, "realize": cmd_realize, "kernel": cmd_kernel, "check": cmd_check}

@@ -255,15 +255,16 @@ def extract_coordinates(
     motion legitimately leaks truncation tails downward and a mismatch below
     that scale cannot be distinguished from truncation error.
 
-    ``v`` is one covector (d,), giving (mu, z), or a stack (N, d), giving
-    (mu, z) of shapes (N,) and (N, n): one table evaluation per grade for
+    ``v`` is one covector (d,), giving (mu, z), or a stack (..., d), giving
+    (mu, z) of shapes (...) and (..., n): one table evaluation per grade for
     the whole stack, each row bit for bit the one-covector result.  If any
     row fails, the first failing row is re-run alone and raises its
     one-covector error.
     """
     v = np.asarray(v, dtype=complex)
-    if v.ndim == 2:
-        return _extract_stack(model, v, tol)
+    if v.ndim >= 2:
+        mu, z = _extract_stack(model, v.reshape(-1, v.shape[-1]), tol)
+        return mu.reshape(v.shape[:-1]), z.reshape(*v.shape[:-1], model.n)
     v = v.reshape(-1)
     if v.shape[0] != model.dim_rep:
         raise ModelStructureError(f"covector length {v.shape[0]} != dim_rep {model.dim_rep}")
@@ -332,13 +333,15 @@ class Exp:
 
 
 def act(rows: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """rows @ exp(A) for (N, d) rows (or one row) and one (d, d) generator,
-    or an (N, d, d) stack applied row by row; each row is bit for bit its
-    one-row result.  A Taylor series (Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33, 2011): with s the 1-norm of v -> v @ A (A's largest absolute
-    row sum) rounded up, exp(A / s) is applied s times, each summed until
-    every row's term is at most one ulp of its sum (in its largest real or
-    imaginary part); so the work grows with s."""
+    """rows @ exp(A) for (..., d) rows (or one row) and one (d, d)
+    generator, or a stack of generators broadcast over the rows' leading
+    shape, such as (N, d, d) row by row or (G, 1, d, d) on (G, N, d) rows;
+    each row is bit for bit its one-row result.  A Taylor series (Al-Mohy
+    and Higham, SIAM J. Sci. Comput. 33, 2011): with s the 1-norm of
+    v -> v @ A (A's largest absolute row sum) rounded up, exp(A / s) is
+    applied s times, each summed until every row's term is at most one ulp
+    of its sum (in its largest real or imaginary part); so the work grows
+    with s."""
     rows = np.asarray(rows, dtype=complex)
     A = np.asarray(A, dtype=complex)
     norms = np.abs(A).sum(axis=-1).max(axis=-1, initial=0.0)

@@ -240,51 +240,68 @@ def homomorphism_residual(model: OrbitModel, table: RealizationTable) -> float:
     return worst
 
 
+def _central(moved, s: float) -> np.ndarray:
+    """The central difference (moved(s) - moved(-s)) / 2s of (J, z') side
+    by side, for moved(t) the (J, z') of exp(tX) at the points."""
+    (j_plus, z_plus), (j_minus, z_minus) = (moved(t) for t in (s, -s))
+    pair = lambda j, z_t: np.concatenate([j[..., None], z_t], axis=-1)
+    return (pair(j_plus, z_plus) - pair(j_minus, z_minus)) / (2 * s)
+
+
 def flow_crosscheck(
     model: OrbitModel,
-    x: AlgebraElement,
+    x: AlgebraElement | Sequence[AlgebraElement],
     z0: Sequence[complex] | np.ndarray,
     h: float = FLOW_STEP,
     table: RealizationTable | None = None,
-) -> float:
+) -> float | np.ndarray:
     """Consistency of the realized operator with the one-parameter flow.
 
     Differentiating omega(z) exp(t X) = J(t, z) omega(z_t) at t = 0 gives
-    P(z) = dJ/dt|_0 and Q_i(z) = d(z_t)_i/dt|_0 directly in the
-    right-multiplication convention used by :func:`group_action` (the su2
-    golden operators fix this sign convention).  Both derivatives are
-    estimated by Richardson extrapolation of central differences with steps
-    h and h/2, (4 D(h/2) - D(h)) / 3, and compared with the realized
-    polynomials.  ``z0`` is one point (length n) or a stack of points
-    (N, n); the operator and four stacked :func:`group_action` calls, which
-    apply exp(+-hX) and exp(+-hX/2) to the rows by their generators
-    (:class:`orbit.Exp`), serve all of them, and each point's estimate
-    is bit for bit the one it has alone.  If a point fails, the error is
-    the one-point error of the first failing point, taking its four group
-    actions in the order +h, -h, +h/2, -h/2.  The operator is read from
-    ``table`` when given (a partial table raises :class:`PartialTableError`),
-    otherwise realized by :func:`realize_generator` at its defaults.
-    Returns the max deviation over the points.
+    P(z) = dJ/dt|_0 and Q_i(z) = d(z_t)_i/dt|_0 in the right-multiplication
+    convention of :func:`group_action` (the su2 golden operators fix its
+    sign).  Both are estimated by Richardson extrapolation of central
+    differences with steps h and h/2, (4 D(h/2) - D(h)) / 3, and compared
+    with the realized polynomials, read from ``table`` when given (a partial
+    table raises :class:`PartialTableError`), else realized at the defaults.
+
+    ``z0`` is one point (n,) or a stack (N, n), served by four stacked
+    :func:`group_action` calls applying exp(+-hX) and exp(+-hX/2) by their
+    generators (:class:`orbit.Exp`); returns the max deviation.  ``x`` may
+    also be a sequence of G elements with ``z0`` a (G, N, n) stack: omega
+    is then evaluated at the points once, each element is one
+    :func:`orbit.act` with each generator broadcast over its own points
+    followed by one stacked extraction, and the result is the (G,)
+    deviations.  Every element's and point's value is bit for bit the one
+    it has alone, and the error raised is the one-point error of the first
+    failing element, then point, then action (+h, -h, +h/2, -h/2).
     """
+    if not isinstance(x, AlgebraElement):
+        points = np.asarray(z0, dtype=complex)
+        try:
+            X = np.array([derived_matrix(model, y) for y in x])[:, None]  # (G, 1, d, d)
+            ops = [realize_generator(model, y) if table is None else table.operator(y) for y in x]
+            realized = np.array([op.eval(p) for op, p in zip(ops, points)])
+            rows = coherent_covector(model).eval(points.reshape(-1, model.n)).reshape(*points.shape[:-1], -1)
+            moved = lambda t: extract_coordinates(model, act(rows, t * X))
+            d_h, d_half = (_central(moved, s) for s in (h, h / 2))
+        except CsorbitError:
+            for y, p in zip(x, points):  # the first failing element raises
+                flow_crosscheck(model, y, p, h, table)
+            raise
+        return np.max(np.abs((4 * d_half - d_h) / 3 - realized), axis=(1, 2))
     points = np.atleast_2d(np.asarray(z0, dtype=complex))
     X = derived_matrix(model, x)
     op = realize_generator(model, x) if table is None else table.operator(x)
-    realized = op.eval(points)
-    flows = [(s, Exp(s * X), Exp(-s * X)) for s in (h, h / 2)]
-
-    def central(z, s, g_plus, g_minus):
-        j_plus, z_plus = group_action(model, g_plus, z)
-        j_minus, z_minus = group_action(model, g_minus, z)
-        return (np.column_stack([j_plus, z_plus]) - np.column_stack([j_minus, z_minus])) / (2 * s)
-
+    acting_on = lambda z: lambda t: group_action(model, Exp(t * X), z)
     try:
-        d_h, d_half = (central(points, *flow) for flow in flows)
+        d_h, d_half = (_central(acting_on(points), s) for s in (h, h / 2))
     except CsorbitError:
         for z in points:  # the first failure in point order raises
-            for flow in flows:
-                central(z[None], *flow)
+            for s in (h, h / 2):
+                _central(acting_on(z[None]), s)
         raise
-    return float(np.max(np.abs((4 * d_half - d_h) / 3 - realized)))
+    return float(np.max(np.abs((4 * d_half - d_h) / 3 - op.eval(points))))
 
 
 def cocycle_residual(

@@ -15,6 +15,9 @@ from csorbit import (
     run_checks,
     symbol,
 )
+from csorbit.checks import _random_block_vector
+from csorbit.orbit import coherent_covector
+from csorbit.polyops import PolyEntries
 
 
 def test_rule_normalization_su2(su2_one):
@@ -199,3 +202,69 @@ def test_default_rule_is_sized_from_the_model():
     assert (rule.radial, rule.angular) == (64, 82)
     assert [r["status"] for r in run_checks(m, ["parseval", "adjoint"])] == ["pass", "pass"]
     assert len(quadrature_rule(load_model("heisenberg", trunc=40)).nodes) == 64 * 64
+
+
+# -- the moment forms against sums at the nodes -------------------------------
+
+
+@pytest.mark.parametrize(
+    "name,params,quad",
+    [
+        ("su2", {"j": 16}, None),  # the sized rule, 64 x 64
+        ("heisenberg", {"trunc": 10}, (64, 64)),
+        ("su11", {"k": 1.5}, (64, 64)),
+        ("su2", {"j": 16}, (16, 16)),  # d = 33 > 16: aliased pairs
+    ],
+)
+def test_moment_forms_match_node_sums(name, params, quad, rng):
+    # each residual against the same integral summed at rule.nodes with
+    # rule.weights, within 1e-12 of the sum of the magnitudes it adds up
+    m = load_model(name, **params)
+    rule = quadrature_rule(m, *(quad or ()))
+    nodes, w = rule.nodes[:, None], rule.weights
+    omega = coherent_covector(m)
+    at = omega.eval(nodes)  # (nodes, d)
+    form = lambda f, g: (np.sum(w * f.conj() * g), np.sum(w * np.abs(f) * np.abs(g)))
+
+    V = at[:, : m.rep.block_dim]
+    G, S = (V.conj().T * w) @ V, (np.abs(V).T * w) @ np.abs(V)
+    assert abs(parseval_residual(m, rule) - np.max(np.abs(G - np.eye(V.shape[1])))) <= 1e-12 * S.max()
+
+    psi, point = _random_block_vector(rng, m), np.array([0.3 - 0.2j])
+    at_w = omega.eval(point)
+    scale = max(1.0, np.sum(np.abs(at_w * psi)))
+    integral, size = form(at @ at_w.conj(), at @ psi)
+    reference = abs(np.sum(at_w * psi) - integral) / scale
+    assert abs(reproducing_residual(m, rule, psi, point) - reference) <= 1e-12 * size / scale
+
+    # D F at the nodes as P F + Q F', with F' from omega's derivative
+    derivative = PolyEntries(np.maximum(omega.exponents - 1, 0), omega.coeffs * omega.exponents[:, 0])
+    d_at = derivative.eval(nodes)
+    table = realize_all(m)
+
+    def apply(idx, psi):
+        P, Q = table.entries[idx].eval(nodes).T
+        return P * (at @ psi) + Q * (d_at @ psi)
+
+    for idx in sorted(m.adjoint_pairs):
+        f, g = _random_block_vector(rng, m), _random_block_vector(rng, m)
+        (lhs, lhs_size), (rhs, rhs_size) = form(apply(idx, f), at @ g), form(at @ f, apply(m.adjoint_pairs[idx], g))
+        residual = adjoint_residual(m, rule, AlgebraElement.basis(m.spec.dim, idx), f, g, table=table)
+        assert abs(residual - abs(lhs - rhs)) <= 1e-12 * (lhs_size + rhs_size)
+
+
+def test_rule_below_the_sized_one_still_fails_with_its_note():
+    # 64 angles alias the products of su11 trunc=80's 81 entries: the
+    # aliased pairs are kept, so the three checks fail, and say why
+    m = load_model("su11", k=1.5, trunc=80)
+    records = run_checks(m, ["parseval", "reproducing", "adjoint"], quad=(64, 64))
+    assert [r["status"] for r in records] == ["fail"] * 3
+    assert {r["note"] for r in records} == {"rule 64x64 is below the sized 64x82 for d = 81"}
+
+
+def test_quadrature_checks_pass_at_large_spin():
+    # at j = 200 the outer nodes' weights underflow where |omega|^2
+    # overflows; summed in log space the three checks pass
+    m = load_model("su2", j=200)
+    records = run_checks(m, ["parseval", "reproducing", "adjoint"])
+    assert [r["status"] for r in records] == ["pass"] * 3

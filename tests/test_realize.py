@@ -251,6 +251,53 @@ def test_flow_crosscheck_stack_raises_first_failing_point(su2_one, monkeypatch):
         flow_crosscheck(su2_one, x, points, h=h)
 
 
+@pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
+def test_flow_check_is_max_of_generator_calls(name, params):
+    # the check draws every generator's points first, in the order the
+    # per-generator loop drew them, and stacks the whole basis: each
+    # generator's residual, and so the record, is bit for bit its own call's
+    from csorbit import checks
+
+    m = load_model(name, **params)
+    rng = np.random.default_rng(checks.RNG_SEED)
+    basis = [AlgebraElement.basis(m.spec.dim, idx) for idx in range(m.spec.dim)]
+    points = np.array([[checks._random_point(rng, m, 0.3) for _ in range(checks.FLOW_POINTS)] for _ in basis])
+    table = realize_all(m)
+    singles = [flow_crosscheck(m, x, p, table=table) for x, p in zip(basis, points)]
+    assert flow_crosscheck(m, basis, points, table=table).tolist() == singles
+    assert flow_crosscheck(m, basis, points).tolist() == singles
+    assert checks.run_checks(m, ["flow"])[0]["residual"] == max(singles)
+
+
+def test_flow_crosscheck_generator_stack_raises_first_failing_generator(su2_one, monkeypatch):
+    # the stacked actions fail; run one element at a time, generator 1 fails
+    # at its point 2 and generator 2 at its point 0, so generator 1's
+    # one-point error is raised
+    import csorbit.realize as realize_mod
+
+    basis = [AlgebraElement.basis(3, idx) for idx in range(3)]
+    points = (0.02 * np.arange(1, 10) + 0j).reshape(3, 3, 1)
+    failing = {(1, 2), (2, 0)}
+    real_extract, real_action = realize_mod.extract_coordinates, realize_mod.group_action
+
+    def stack_fails(model, v):
+        if np.ndim(v) == 3:
+            raise PointOffOrbitError("the stack")
+        return real_extract(model, v)
+
+    def fails_at_some_points(model, g, z):
+        for point in np.atleast_2d(z):
+            where = tuple(np.argwhere(points[..., 0] == point[0])[0])
+            if where in failing:
+                raise PointOffOrbitError(f"generator {where[0]} point {where[1]}")
+        return real_action(model, g, z)
+
+    monkeypatch.setattr(realize_mod, "extract_coordinates", stack_fails)
+    monkeypatch.setattr(realize_mod, "group_action", fails_at_some_points)
+    with pytest.raises(PointOffOrbitError, match="^generator 1 point 2$"):
+        flow_crosscheck(su2_one, basis, points)
+
+
 def test_flow_crosscheck_zero_element(su2_one):
     assert flow_crosscheck(su2_one, AlgebraElement(np.zeros(3)), [0.2]) == 0
 
