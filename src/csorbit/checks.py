@@ -56,9 +56,10 @@ REPRODUCING_DRAWS = 5
 RNG_SEED = 20240801
 # The flow and cocycle checks act in blocks of generators, so that each
 # stack of generators stays within this many bytes: one block for every
-# model up to d = 102 (the cocycle's 50 pairs) or d = 256 (the flow's su3
-# basis), and a few such stacks at a time however large the representation
-# (all 50 cocycle pairs at once would take 2.5 GB at d = 1,024).
+# model up to d = 102 (the cocycle's 50 pairs) or d = 128 (the flow's su3
+# basis, four actions each), and a few such stacks at a time however large
+# the representation (all 50 cocycle pairs at once would take 2.5 GB at
+# d = 1,024).
 STACK_BYTES = 8 * 2**20
 
 # the validate_model metrics whose maximum each validation check reports
@@ -166,7 +167,7 @@ def run_checks(
         if name == "flow":
             basis = [AlgebraElement.basis(model.spec.dim, idx) for idx in range(model.spec.dim)]
             points = np.array([[_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)] for _ in basis])
-            block = max(1, STACK_BYTES // (16 * model.dim_rep**2))
+            block = max(1, STACK_BYTES // (4 * 16 * model.dim_rep**2))
             residuals = [
                 realize.flow_crosscheck(model, basis[k : k + block], points[k : k + block], table=table)
                 for k in range(0, len(basis), block)

@@ -30,6 +30,8 @@ from .checks import CHECK_ORDER, run_checks
 from .errors import CsorbitError
 from .polyops import render_diffop, render_poly
 
+MAX_QUAD_NODES = 2048  # twice the largest sized count, 1,025 angles at catalog.MAX_DIM_REP
+
 
 @dataclass
 class RunReport:
@@ -67,6 +69,8 @@ def _parse_quad(text: str) -> tuple[int, int]:
         raise CsorbitError(f"cannot parse quadrature spec {text!r} (want R,A)") from exc
     if radial < 1 or angular < 1:
         raise CsorbitError(f"quadrature spec {text!r} needs node counts >= 1")
+    if max(radial, angular) > MAX_QUAD_NODES:
+        raise CsorbitError(f"quadrature spec {text!r} needs node counts <= MAX_QUAD_NODES = {MAX_QUAD_NODES}")
     return radial, angular
 
 
@@ -140,7 +144,11 @@ def _exp_element(model, spec_text: str) -> np.ndarray:
         raise CsorbitError(f"unknown generator {label!r}; model has {model.spec.basis_labels}")
     idx = model.spec.basis_labels.index(label)
     t = _parse_complex(t_text)
-    return orbit.group_element(model, AlgebraElement.basis(model.spec.dim, idx), t)
+    with np.errstate(all="ignore"):  # an overflow is reported below
+        g = orbit.group_element(model, AlgebraElement.basis(model.spec.dim, idx), t)
+    if not np.all(np.isfinite(g)):
+        raise CsorbitError(f"exp(t {label}) at t = {t} is not finite")
+    return g
 
 
 def _cocycle_pair(model, args) -> tuple[np.ndarray, np.ndarray] | None:
@@ -206,9 +214,7 @@ def cmd_realize(args) -> tuple[int, RunReport]:
     records = _realization_records(model, table)
     status = "fail" if table.partial else "pass"
     report = RunReport(model=model.name, params=model.parameters, realization=records, status=status)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
+    if not args.json:
         print(f"model: {model.describe()}")
         for idx, rec in enumerate(records):
             if "error" in rec:
@@ -242,9 +248,7 @@ def cmd_kernel(args) -> tuple[int, RunReport]:
         section["coherent_vector"] = [render_poly(e) for e in orbit.coherent_vector(model).entries]
         section["covector"] = [render_poly(e) for e in orbit.coherent_covector(model).entries]
     report = RunReport(model=model.name, params=model.parameters, kernel=section)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
+    if not args.json:
         print(f"model: {model.describe()}")
         print(f"K({', '.join(names)}) = {rendered}")
         if "eval" in section:
@@ -265,9 +269,7 @@ def cmd_check(args) -> tuple[int, RunReport]:
     failed = [r for r in results if r["status"] == "fail"]
     status = "fail" if failed else "pass"
     report = RunReport(model=model.name, params=model.parameters, checks=results, status=status)
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
+    if not args.json:
         print(f"model: {model.describe()}")
         for r in results:
             res = "-" if r["residual"] is None else f"{r['residual']:.3e}"
@@ -286,10 +288,13 @@ def run(argv=None) -> tuple[int, RunReport | None]:
         return (int(exc.code) if exc.code else 0), None
     commands = {"catalog": cmd_catalog, "realize": cmd_realize, "kernel": cmd_kernel, "check": cmd_check}
     try:
-        return commands[args.command](args)
+        code, report = commands[args.command](args)
     except CsorbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, None
+    if getattr(args, "json", False):
+        print(json.dumps(report.to_dict(), indent=2))
+    return code, report
 
 
 def main(argv=None) -> int:

@@ -283,7 +283,7 @@ def extract_coordinates(
     resid = v[:block] - mu * omega.eval(z)[:block]
     rnorm = float(np.linalg.norm(resid))
     threshold = tol * float(np.linalg.norm(v[:block])) + float(np.linalg.norm(v[block:]))
-    if rnorm > threshold:
+    if not rnorm <= threshold:  # a NaN residual fails too
         raise PointOffOrbitError(
             f"extraction residual {rnorm:.3e} exceeds {threshold:.3e}; "
             "covector is not on the orbit"
@@ -312,7 +312,7 @@ def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.nda
     block = model.rep.block_dim
     rnorm = _row_norms(V[:, :block] - mu[:, None] * omega.eval(Z)[:, :block])
     threshold = tol * _row_norms(V[:, :block]) + _row_norms(V[:, block:])
-    for k in np.flatnonzero(polar | (rnorm > threshold)):
+    for k in np.flatnonzero(polar | ~(rnorm <= threshold)):
         extract_coordinates(model, V[k], tol)  # raises the one-covector error
     return mu, Z
 
@@ -325,8 +325,8 @@ class Exp:
     A: np.ndarray
 
     @property
-    def ndim(self) -> int:
-        return np.ndim(self.A)
+    def shape(self) -> tuple[int, ...]:
+        return np.shape(self.A)
 
     def __getitem__(self, k) -> "Exp":
         return Exp(self.A[k])

@@ -38,7 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, OrbitModel, derived_matrix
-from .errors import CsorbitError, NonpolynomialRealizationError, PartialTableError
+from .errors import CsorbitError, ModelStructureError, NonpolynomialRealizationError, PartialTableError
 from .orbit import Exp, act, coherent_covector, extract_coordinates, group_action, moved_covector
 from .polyops import PolyEntries, collect, commutators, diffop_array, partials, prune
 
@@ -240,14 +240,6 @@ def homomorphism_residual(model: OrbitModel, table: RealizationTable) -> float:
     return worst
 
 
-def _central(moved, s: float) -> np.ndarray:
-    """The central difference (moved(s) - moved(-s)) / 2s of (J, z') side
-    by side, for moved(t) the (J, z') of exp(tX) at the points."""
-    (j_plus, z_plus), (j_minus, z_minus) = (moved(t) for t in (s, -s))
-    pair = lambda j, z_t: np.concatenate([j[..., None], z_t], axis=-1)
-    return (pair(j_plus, z_plus) - pair(j_minus, z_minus)) / (2 * s)
-
-
 def flow_crosscheck(
     model: OrbitModel,
     x: AlgebraElement | Sequence[AlgebraElement],
@@ -265,43 +257,28 @@ def flow_crosscheck(
     with the realized polynomials, read from ``table`` when given (a partial
     table raises :class:`PartialTableError`), else realized at the defaults.
 
-    ``z0`` is one point (n,) or a stack (N, n), served by four stacked
-    :func:`group_action` calls applying exp(+-hX) and exp(+-hX/2) by their
-    generators (:class:`orbit.Exp`); returns the max deviation.  ``x`` may
-    also be a sequence of G elements with ``z0`` a (G, N, n) stack: omega
-    is then evaluated at the points once, each element is one
-    :func:`orbit.act` with each generator broadcast over its own points
-    followed by one stacked extraction, and the result is the (G,)
-    deviations.  Every element's and point's value is bit for bit the one
-    it has alone, and the error raised is the one-point error of the first
-    failing element, then point, then action (+h, -h, +h/2, -h/2).
+    ``x`` is one element and ``z0`` one point (n,) or a stack (N, n), giving
+    the max deviation, or G elements and a (G, N, n) stack, giving the (G,)
+    deviations.  exp(+-hX) and exp(+-hX/2) act on omega at the points as one
+    :func:`orbit.act` on (G, N, 4, d) rows, extracted at once: each value is
+    bit for bit its one-point :func:`group_action`'s, and the error raised
+    is the first failing row's: element, then point, then action.
     """
-    if not isinstance(x, AlgebraElement):
-        points = np.asarray(z0, dtype=complex)
-        try:
-            X = np.array([derived_matrix(model, y) for y in x])[:, None]  # (G, 1, d, d)
-            ops = [realize_generator(model, y) if table is None else table.operator(y) for y in x]
-            realized = np.array([op.eval(p) for op, p in zip(ops, points)])
-            rows = coherent_covector(model).eval(points.reshape(-1, model.n)).reshape(*points.shape[:-1], -1)
-            moved = lambda t: extract_coordinates(model, act(rows, t * X))
-            d_h, d_half = (_central(moved, s) for s in (h, h / 2))
-        except CsorbitError:
-            for y, p in zip(x, points):  # the first failing element raises
-                flow_crosscheck(model, y, p, h, table)
-            raise
-        return np.max(np.abs((4 * d_half - d_h) / 3 - realized), axis=(1, 2))
-    points = np.atleast_2d(np.asarray(z0, dtype=complex))
-    X = derived_matrix(model, x)
-    op = realize_generator(model, x) if table is None else table.operator(x)
-    acting_on = lambda z: lambda t: group_action(model, Exp(t * X), z)
-    try:
-        d_h, d_half = (_central(acting_on(points), s) for s in (h, h / 2))
-    except CsorbitError:
-        for z in points:  # the first failure in point order raises
-            for s in (h, h / 2):
-                _central(acting_on(z[None]), s)
-        raise
-    return float(np.max(np.abs((4 * d_half - d_h) / 3 - op.eval(points))))
+    elements = [x] if isinstance(x, AlgebraElement) else list(x)
+    points = np.asarray(z0, dtype=complex)
+    points = np.atleast_2d(points)[None] if isinstance(x, AlgebraElement) else points
+    if points.ndim != 3 or points.shape[0] != len(elements) or points.shape[2] != model.n:
+        raise ModelStructureError(f"points {np.shape(z0)} do not fit {len(elements)} element(s) with n = {model.n}")
+    d, steps = model.dim_rep, np.array([h, -h, h / 2, -h / 2])
+    X = steps[:, None, None] * np.array([derived_matrix(model, y) for y in elements])[:, None, None]  # (G, 1, 4, d, d)
+    ops = [realize_generator(model, y) if table is None else table.operator(y) for y in elements]
+    realized = np.array([op.eval(p) for op, p in zip(ops, points)])  # (G, N, n + 1)
+    rows = coherent_covector(model).eval(points.reshape(-1, model.n)).reshape(*points.shape[:-1], 1, d)
+    mu, moved = extract_coordinates(model, act(np.broadcast_to(rows, (*points.shape[:-1], 4, d)), X))
+    pairs = np.concatenate([mu[..., None], moved], axis=-1)  # (J, z') side by side
+    d_h, d_half = np.moveaxis((pairs[..., ::2, :] - pairs[..., 1::2, :]) / (2 * steps[::2, None]), -2, 0)
+    deviation = np.max(np.abs((4 * d_half - d_h) / 3 - realized), axis=(1, 2), initial=0.0)
+    return float(deviation[0]) if isinstance(x, AlgebraElement) else deviation
 
 
 def cocycle_residual(
@@ -312,31 +289,33 @@ def cocycle_residual(
     elements given by generators (:class:`orbit.Exp`), as two successive
     actions: omega(z) exp(A2) exp(A1), with no matrix formed.
 
-    ``z`` may be a stack of points (N, n), with g1 and g2 each one element
-    or a stack of N per-row elements; the result is then the (N,)
-    residuals, each bit for bit the one-point value, from stacked group
-    actions.  If a row fails, the error is the one-point error of the first
-    failing row."""
+    ``z`` is one point (n,), run as a stack of one, or a stack (N, n) with
+    g1 and g2 each one element or N per-row ones, giving the (N,) residuals.
+    Shapes are checked first.  A failing stack of several rows is run again
+    row by row, so that the first failing row's error is raised: the last
+    action starts from the second's output, so the stack's own errors do
+    not come in row order."""
+    points = np.atleast_2d(np.asarray(z, dtype=complex))
     if not isinstance(g1, Exp):
-        g1 = np.asarray(g1, dtype=complex)
-        g2 = np.asarray(g2, dtype=complex)
+        g1, g2 = np.asarray(g1, dtype=complex), np.asarray(g2, dtype=complex)
+    d = model.dim_rep
+    if g1.shape not in ((d, d), (len(points), d, d)):
+        raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(points)} of them")
+    moved = moved_covector(model, g2, points)  # checks the points and g2 before acting
     try:
-        moved = moved_covector(model, g2, z)
-        composite = act(moved, g1.A) if isinstance(g1, Exp) else moved_covector(model, g2 @ g1, z)
+        composite = act(moved, g1.A) if isinstance(g1, Exp) else moved_covector(model, g2 @ g1, points)
         j12, _ = extract_coordinates(model, composite)
         j2, z2 = extract_coordinates(model, moved)
         j1, _ = group_action(model, g1, z2)
     except CsorbitError:
-        if np.ndim(z) == 2:  # the first failing row raises
-            row = lambda g, k: g if g.ndim == 2 else g[k]
-            for k, zk in enumerate(np.asarray(z, dtype=complex)):
-                cocycle_residual(model, row(g1, k), row(g2, k), zk)
+        if len(points) > 1:  # the first failing row raises
+            for k in range(len(points)):
+                cocycle_residual(model, *(g if len(g.shape) == 2 else g[k] for g in (g1, g2)), points[k])
         raise
-    if np.ndim(z) != 2:
-        return abs(j12 - j1 * j2)
-    # on numpy scalars, as one row alone: the vectorized complex product and
-    # abs can differ from them in the last bit
-    return np.array([abs(a - b * c) for a, b, c in zip(j12, j1, j2)])
+    # on numpy scalars, one row at a time: the vectorized complex product
+    # and abs can differ from them in the last bit
+    residuals = np.array([abs(a - b * c) for a, b, c in zip(j12, j1, j2)])
+    return residuals if np.ndim(z) == 2 else residuals[0]
 
 
 @dataclass

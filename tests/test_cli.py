@@ -154,6 +154,29 @@ def test_quadrature_counts_below_one_are_usage_error(capsys):
     assert "needs node counts >= 1" in err
 
 
+def test_quadrature_counts_above_the_bound_are_usage_error(capsys):
+    # a huge radial count used to run out of memory building its Gauss rule
+    from csorbit.cli import MAX_QUAD_NODES
+
+    assert MAX_QUAD_NODES >= 1025  # the sized rule's counts at MAX_DIM_REP: 513 x 1,025
+    for quad in ("100000000,1", f"1,{MAX_QUAD_NODES + 1}"):
+        code, report = run(["check", "--model", "su2", "--j", "0.5", "--suite", "parseval", "--quad", quad])
+        captured = capsys.readouterr()
+        assert code == 2 and report is None and captured.out == ""
+        assert f"needs node counts <= MAX_QUAD_NODES = {MAX_QUAD_NODES}" in captured.err
+
+
+def test_overflowing_exp_element_is_usage_error(capsys):
+    # exp(1e300 J+) is not finite: refused before the check, without warnings
+    code, report = run(
+        ["check", "--model", "su2", "--j", "1", "--suite", "cocycle",
+         "--g1-exp", "J+:1e300,0", "--g2-exp", "J-:1,0"]
+    )
+    captured = capsys.readouterr()
+    assert code == 2 and report is None and captured.out == ""
+    assert captured.err.strip() == "error: exp(t J+) at t = (1e+300+0j) is not finite"
+
+
 def test_unknown_exp_label_is_usage_error(capsys):
     code, report = run(
         ["check", "--model", "su2", "--j", "1", "--suite", "cocycle",

@@ -701,6 +701,21 @@ def test_stack_shape_mismatches(su2_one):
         group_action(su2_one, np.array([np.eye(d)] * 2), np.zeros(n))
 
 
+@pytest.mark.parametrize(
+    "name,params,index,value", [("su2", {"j": 1}, 1, math.nan), ("su3", {"p": 1, "q": 1}, 5, math.inf)]
+)
+def test_non_finite_covector_is_off_the_orbit(name, params, index, value):
+    # a NaN residual used to pass the residual test and give NaN coordinates
+    m = load_model(name, **params)
+    good = covector_direct(m, np.full(m.n, 0.2 - 0.1j))
+    bad = good.copy()
+    bad[index] = value
+    with np.errstate(invalid="ignore"), pytest.raises(PointOffOrbitError):
+        extract_coordinates(m, bad)
+    with np.errstate(invalid="ignore"), pytest.raises(PointOffOrbitError):
+        extract_coordinates(m, np.array([good, bad, good]))
+
+
 def test_polar_guard_does_not_grow_with_the_orbit():
     # max|v| / |mu| reaches 2.8e15 at ordinary points of su2 j = 100, which
     # a guard relative to max|v| took for the polar divisor

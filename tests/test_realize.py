@@ -8,6 +8,7 @@ from csorbit import (
     AlgebraElement,
     LieAlgebraSpec,
     MatrixRep,
+    ModelStructureError,
     NonpolynomialRealizationError,
     OrbitModel,
     PartialTableError,
@@ -24,8 +25,9 @@ from csorbit import (
     realize_generator,
     symbol,
 )
+from csorbit import realize
 from csorbit.algebra import derived_matrix
-from csorbit.orbit import Exp, coherent_covector
+from csorbit.orbit import Exp, coherent_covector, extract_coordinates
 from csorbit.polyops import PolyEntries, diffop_array, partials
 from csorbit.realize import _closed_form, _intertwining_defect
 
@@ -226,29 +228,50 @@ def test_flow_crosscheck_heisenberg_raising(heis10):
     assert flow_crosscheck(heis10, AlgebraElement.basis(3, 1), [z0]) < 1e-6
 
 
+def _moving_off_the_orbit(monkeypatch, model, elements, points, failing):
+    """Patch the flow's ``act`` so that the rows of each (element, point,
+    step t) in ``failing`` leave the orbit, each by a different amount.  A
+    row is found by its generator t X and its input omega(z), not by its
+    place in the stack.  Returns the rows as moved, by name."""
+    real_act, moved = realize.act, {}
+    omega = coherent_covector(model)
+
+    def act(rows, A):
+        out = real_act(rows, A)
+        gens = np.broadcast_to(A, (*out.shape[:-1], *A.shape[-2:]))
+        for k, (g, p, t) in enumerate(failing):
+            tX = t * derived_matrix(model, elements[g])
+            for r in np.ndindex(out.shape[:-1]):
+                if np.array_equal(gens[r], tX) and np.array_equal(rows[r], omega.eval(points[g, p])):
+                    out[r][-1] += 10.0 ** (k + 1)
+                    moved[g, p, t] = out[r].copy()
+        return out
+
+    monkeypatch.setattr(realize, "act", act)
+    return moved
+
+
+def _errors_alone(model, moved):
+    """The extraction error of each moved row alone, by name."""
+    messages = {}
+    for where, row in moved.items():
+        with pytest.raises(PointOffOrbitError) as alone:
+            extract_coordinates(model, row)
+        messages[where] = str(alone.value)
+    assert len(set(messages.values())) == len(moved)
+    return messages
+
+
 def test_flow_crosscheck_stack_raises_first_failing_point(su2_one, monkeypatch):
-    # point 1 fails only in its last group action (exp(-h/2 X)), point 2 in
-    # its first (exp(h X)): the one-point order reaches point 1 first.  The
-    # flow applies each element by its generator.
-    import csorbit.realize as realize_mod
-
-    x = AlgebraElement.basis(3, 2)
-    X = np.array(su2_one.rep.matrices[2])
-    h = 1e-4
-    failing = {1: -(h / 2) * X, 2: h * X}
+    # point 2 fails in its first action (exp(hX)), point 1 in its last
+    # (exp(-hX/2)): the one-point order reaches point 1 first
+    h = realize.FLOW_STEP
     points = np.array([[0.1], [0.2], [0.3]], dtype=complex)
-    real = realize_mod.group_action
-
-    def fails_at_some_points(model, g, z):
-        for point in np.atleast_2d(z):
-            p = int(np.flatnonzero(points[:, 0] == point[0])[0])
-            if p in failing and np.array_equal(g.A, failing[p]):
-                raise PointOffOrbitError(f"point {p}")
-        return real(model, g, z)
-
-    monkeypatch.setattr(realize_mod, "group_action", fails_at_some_points)
-    with pytest.raises(PointOffOrbitError, match="point 1"):
-        flow_crosscheck(su2_one, x, points, h=h)
+    x = AlgebraElement.basis(3, 2)
+    moved = _moving_off_the_orbit(monkeypatch, su2_one, [x], points[None], [(0, 2, h), (0, 1, -h / 2)])
+    with pytest.raises(PointOffOrbitError) as stacked:
+        flow_crosscheck(su2_one, x, points)
+    assert str(stacked.value) == _errors_alone(su2_one, moved)[0, 1, -h / 2]
 
 
 @pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
@@ -270,32 +293,59 @@ def test_flow_check_is_max_of_generator_calls(name, params):
 
 
 def test_flow_crosscheck_generator_stack_raises_first_failing_generator(su2_one, monkeypatch):
-    # the stacked actions fail; run one element at a time, generator 1 fails
-    # at its point 2 and generator 2 at its point 0, so generator 1's
-    # one-point error is raised
-    import csorbit.realize as realize_mod
-
+    # generator 2 fails at its point 0, generator 1 at its point 2 in its
+    # actions exp(hX/2) and exp(-hX): generator 1's exp(-hX) comes first
+    h = realize.FLOW_STEP
     basis = [AlgebraElement.basis(3, idx) for idx in range(3)]
     points = (0.02 * np.arange(1, 10) + 0j).reshape(3, 3, 1)
-    failing = {(1, 2), (2, 0)}
-    real_extract, real_action = realize_mod.extract_coordinates, realize_mod.group_action
-
-    def stack_fails(model, v):
-        if np.ndim(v) == 3:
-            raise PointOffOrbitError("the stack")
-        return real_extract(model, v)
-
-    def fails_at_some_points(model, g, z):
-        for point in np.atleast_2d(z):
-            where = tuple(np.argwhere(points[..., 0] == point[0])[0])
-            if where in failing:
-                raise PointOffOrbitError(f"generator {where[0]} point {where[1]}")
-        return real_action(model, g, z)
-
-    monkeypatch.setattr(realize_mod, "extract_coordinates", stack_fails)
-    monkeypatch.setattr(realize_mod, "group_action", fails_at_some_points)
-    with pytest.raises(PointOffOrbitError, match="^generator 1 point 2$"):
+    moved = _moving_off_the_orbit(monkeypatch, su2_one, basis, points, [(2, 0, h), (1, 2, h / 2), (1, 2, -h)])
+    with pytest.raises(PointOffOrbitError) as stacked:
         flow_crosscheck(su2_one, basis, points)
+    assert str(stacked.value) == _errors_alone(su2_one, moved)[1, 2, -h]
+
+
+def _one_point_flow(model, x, z, h, op):
+    """The flow's Richardson estimate at one point from four one-point
+    :func:`group_action` calls, against ``op`` there."""
+    from csorbit import group_action
+
+    X = derived_matrix(model, x)
+    moved = [group_action(model, Exp(t * X), z) for t in (h, -h, h / 2, -h / 2)]
+    pairs = [np.concatenate([[J], z_t]) for J, z_t in moved]
+    d_h, d_half = (pairs[0] - pairs[1]) / (2 * h), (pairs[2] - pairs[3]) / (2 * (h / 2))
+    return np.max(np.abs((4 * d_half - d_h) / 3 - op.eval(z)))
+
+
+@pytest.mark.parametrize(
+    "name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1}), ("heisenberg", {"trunc": 40})]
+)
+def test_flow_crosscheck_matches_one_point_group_actions(name, params, rng):
+    # the stacked flow, bit for bit, against one-point actions at each point
+    m = load_model(name, **params)
+    table = realize_all(m)
+    basis = [AlgebraElement.basis(m.spec.dim, idx) for idx in range(m.spec.dim)]
+    points = 0.3 * (rng.uniform(-1, 1, (len(basis), 4, m.n)) + 1j * rng.uniform(-1, 1, (len(basis), 4, m.n)))
+    reference = [
+        max(_one_point_flow(m, x, z, realize.FLOW_STEP, table.entries[idx]) for z in points[idx])
+        for idx, x in enumerate(basis)
+    ]
+    assert flow_crosscheck(m, basis, points, table=table).tolist() == reference
+
+
+def test_flow_crosscheck_shape_mismatches(su2_one):
+    basis = [AlgebraElement.basis(3, idx) for idx in range(3)]
+    for points in (np.zeros((2, 4, 1)), np.zeros((3, 4)), np.zeros((3, 4, 2)), np.zeros((1, 3, 4, 1))):
+        with pytest.raises(ModelStructureError):
+            flow_crosscheck(su2_one, basis, points)
+    for points in (np.zeros(2), np.zeros((4, 2)), np.zeros((1, 4, 1))):
+        with pytest.raises(ModelStructureError):
+            flow_crosscheck(su2_one, basis[0], points)
+
+
+def test_flow_crosscheck_over_no_points(su2_one):
+    basis = [AlgebraElement.basis(3, idx) for idx in range(3)]
+    assert flow_crosscheck(su2_one, basis[2], np.zeros((0, 1))) == 0.0
+    assert flow_crosscheck(su2_one, basis, np.zeros((3, 0, 1))).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_flow_crosscheck_zero_element(su2_one):
@@ -404,6 +454,26 @@ def test_cocycle_by_generators_raises_first_failing_pair(su2_one, rng):
     with pytest.raises(PointOffOrbitError) as stacked:
         cocycle_residual(su2_one, Exp(-A2s), Exp(A2s), points)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_cocycle_stack_shape_mismatches(su2_one, rng):
+    A1s, A2s = _generators(su2_one, rng, 3), _generators(su2_one, rng, 3)
+    points = np.zeros((2, 1), dtype=complex)
+    for g1, g2 in [
+        (Exp(A1s), Exp(A2s)),
+        (Exp(A1s[:1]), Exp(A2s[:1])),
+        (Exp(A1s[0]), Exp(A2s)),
+        (Exp(A1s), Exp(A2s[0])),
+        (scipy.linalg.expm(A1s), scipy.linalg.expm(A2s)),
+        (scipy.linalg.expm(A1s[:1]), scipy.linalg.expm(A2s[0])),
+        (scipy.linalg.expm(A1s[0]), scipy.linalg.expm(A2s)),
+    ]:
+        with pytest.raises(ModelStructureError):
+            cocycle_residual(su2_one, g1, g2, points)
+    with pytest.raises(ModelStructureError):
+        cocycle_residual(su2_one, np.eye(3), np.eye(3), np.zeros((2, 2)))
+    with pytest.raises(ModelStructureError):
+        cocycle_residual(su2_one, Exp(A1s[:2]), Exp(A2s[:2]), np.zeros(1))
 
 
 def _pointwise_gap(model, op, X, z):
