@@ -91,7 +91,7 @@ class AlgebraElement:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(self.coeffs)):
+        if not np.isfinite(self.coeffs).all():
             raise ModelStructureError("algebra element coefficients must be finite")
 
     @classmethod

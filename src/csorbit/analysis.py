@@ -26,13 +26,14 @@ checks and raise :class:`UnsupportedCheckError`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 from scipy.special import logsumexp, roots_jacobi
 
 from .algebra import AlgebraElement, OrbitModel
-from .errors import UnsupportedCheckError
+from .errors import CsorbitError, UnsupportedCheckError
 from .orbit import coherent_covector
 from .polyops import diffop_array
 from .realize import RealizationTable, realize_generator
@@ -88,24 +89,39 @@ def quadrature_rule(model: OrbitModel, radial: int | None = None, angular: int |
     angular = sized[1] if angular is None else angular
     if radial < 1 or angular < 1:
         raise ValueError("radial and angular node counts must be >= 1")
-    if ms.kind == "gaussian":
-        u, wu = np.polynomial.laguerre.laggauss(radial)
-        log_u, log_w = np.log(u), np.log(wu)
-    elif ms.kind == "fubini-study":
-        j = float(ms.params["j"])
-        x, wx = np.polynomial.legendre.leggauss(radial)
-        t = (x + 1.0) / 2.0
-        log_u = np.log(t) - np.log1p(-t)
-        log_w = np.log(2 * j + 1) + 2 * j * np.log1p(-t) + np.log(wx / 2.0)
-    elif ms.kind == "bergman-disk":
-        k = float(ms.params["k"])
-        x, wx = roots_jacobi(radial, 2 * k - 2, 0.0)
-        log_u = np.log((x + 1.0) / 2.0)
-        log_w = np.log(2 * k - 1) - (2 * k - 1) * np.log(2.0) + np.log(wx)
-    else:  # pragma: no cover - MeasureSpec already validates kinds
-        raise UnsupportedCheckError(f"unsupported measure kind {ms.kind!r}")
-    mass_defect = float(abs(np.exp(log_w).sum() - 1.0))
-    return QuadratureRule(log_u / 2.0, log_w, radial, angular, mass_defect)
+    param = {"fubini-study": "j", "bergman-disk": "k"}.get(ms.kind)
+    log_r, log_w, mass_defect = _radial_rule(ms.kind, radial, None if param is None else float(ms.params[param]))
+    return QuadratureRule(log_r, log_w, radial, angular, mass_defect)
+
+
+@lru_cache(maxsize=32)
+def _radial_rule(kind: str, radial: int, param: float | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """(log r, log w, mass defect) of the radial Gauss rule of a measure
+    kind with ``radial`` nodes and its parameter (j or k), computed once:
+    it depends on nothing else, and its arrays are read-only.  Raises
+    :class:`CsorbitError` when the nodes or weights the Gauss routine
+    returns are not finite (numpy's Gauss-Laguerre from 187 nodes)."""
+    with np.errstate(all="ignore"):
+        if kind == "gaussian":
+            nodes, weights = np.polynomial.laguerre.laggauss(radial)
+            log_u, log_w = np.log(nodes), np.log(weights)
+        elif kind == "fubini-study":
+            nodes, weights = np.polynomial.legendre.leggauss(radial)
+            t = (nodes + 1.0) / 2.0
+            log_u = np.log(t) - np.log1p(-t)
+            log_w = np.log(2 * param + 1) + 2 * param * np.log1p(-t) + np.log(weights / 2.0)
+        elif kind == "bergman-disk":
+            nodes, weights = roots_jacobi(radial, 2 * param - 2, 0.0)
+            log_u = np.log((nodes + 1.0) / 2.0)
+            log_w = np.log(2 * param - 1) - (2 * param - 1) * np.log(2.0) + np.log(weights)
+        else:  # pragma: no cover - MeasureSpec already validates kinds
+            raise UnsupportedCheckError(f"unsupported measure kind {kind!r}")
+        mass_defect = float(abs(np.exp(log_w).sum() - 1.0))
+    if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
+        raise CsorbitError(f"the {kind} radial rule with {radial} nodes has weights that are not finite")
+    log_r = log_u / 2.0
+    log_r.flags.writeable = log_w.flags.writeable = False
+    return log_r, log_w, mass_defect
 
 
 def _pairing(rule: QuadratureRule, exponents: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -76,10 +76,6 @@ def _random_point(rng, model, radius):
     return radius * (rng.uniform(-1, 1, model.n) + 1j * rng.uniform(-1, 1, model.n))
 
 
-def _random_element(rng, model, scale):
-    return AlgebraElement(scale * (rng.standard_normal(model.spec.dim) + 1j * rng.standard_normal(model.spec.dim)))
-
-
 def _random_block_vector(rng, model):
     """A random vector supported on the artifact-free block."""
     psi = np.zeros(model.dim_rep, dtype=complex)
@@ -139,8 +135,8 @@ def run_checks(
     if wants(QUADRATURE_CHECKS):
         try:
             rule = analysis.quadrature_rule(model, *(quad or ()))
-        except UnsupportedCheckError as exc:
-            rule_error = str(exc)
+        except CsorbitError as exc:  # no rule for the model skips the trio, a broken one fails it
+            rule_error = exc
         sized = analysis.sized_counts(model)
         if quad and (quad[0] < sized[0] or quad[1] < sized[1]):
             rule_note = f"rule {quad[0]}x{quad[1]} is below the sized {sized[0]}x{sized[1]} for d = {model.dim_rep}"
@@ -149,7 +145,7 @@ def run_checks(
         if name in TABLE_CHECKS and table_error is not None:
             return None, check_tol, "fail", table_error
         if name in QUADRATURE_CHECKS and rule_error is not None:
-            return None, check_tol, "skip", rule_error
+            return None, check_tol, "skip" if isinstance(rule_error, UnsupportedCheckError) else "fail", str(rule_error)
         if name in VALIDATION_METRICS:
             residual = float(np.max([report.metrics[k] for k in VALIDATION_METRICS[name]]))
             return _measured(residual, check_tol, report.passed if name == "model" else None)
@@ -166,7 +162,9 @@ def run_checks(
             return observed, float(bound), "pass" if ok else "fail", f"target {op} {bound}"
         if name == "flow":
             basis = [AlgebraElement.basis(model.spec.dim, idx) for idx in range(model.spec.dim)]
-            points = np.array([[_random_point(rng, model, 0.3) for _ in range(FLOW_POINTS)] for _ in basis])
+            # each point's real and then imaginary parts, point by point
+            parts = rng.uniform(-1, 1, (len(basis), FLOW_POINTS, 2, model.n))
+            points = 0.3 * (parts[..., 0, :] + 1j * parts[..., 1, :])
             block = max(1, STACK_BYTES // (4 * 16 * model.dim_rep**2))
             residuals = [
                 realize.flow_crosscheck(model, basis[k : k + block], points[k : k + block], table=table)
@@ -186,9 +184,11 @@ def run_checks(
             for start in range(0, COCYCLE_PAIRS, block):
                 A1s, A2s = np.empty((2, min(block, COCYCLE_PAIRS - start), d, d), dtype=complex)
                 points = np.empty((len(A1s), model.n), dtype=complex)
-                for k in range(len(A1s)):
-                    A1s[k], A2s[k] = (derived_matrix(model, _random_element(rng, model, scale)) for _ in range(2))
-                    points[k] = _random_point(rng, model, 0.3)
+                for k in range(len(A1s)):  # per pair, as one draw per element and one per point
+                    c = rng.standard_normal((2, 2, model.spec.dim))
+                    A1s[k], A2s[k] = (derived_matrix(model, AlgebraElement(x)) for x in scale * (c[:, 0] + 1j * c[:, 1]))
+                    parts = rng.uniform(-1, 1, (2, model.n))
+                    points[k] = 0.3 * (parts[0] + 1j * parts[1])
                 residuals.extend(realize.cocycle_residual(model, orbit.Exp(A1s), orbit.Exp(A2s), points))
             return _measured(float(np.max(residuals)), check_tol)
         if name == "roundtrip":

@@ -46,7 +46,7 @@ from .errors import (
     PolarDivisorError,
     TruncationWarning,
 )
-from .polyops import PolyEntries, prune
+from .polyops import PolyEntries, collect, prune
 
 EXTRACT_TOL = 1e-10
 POLAR_TOL = 1e-12
@@ -66,19 +66,19 @@ def _exp_series(model: OrbitModel, mats: Sequence[np.ndarray]) -> PolyEntries:
     sizes = [np.abs(m) for m in mats]
     expos, rows = np.zeros((1, n), dtype=int), np.eye(1, d, model.e0_index, dtype=complex)
     for group in filter(None, [range(n)] if model.chart == "sum" else [[a] for a in reversed(range(n))]):
-        terms = [(expos, rows)]
+        terms, factors = [(expos, rows)], np.eye(n, dtype=int)[list(group)]
         for order in range(1, d + 2):
             term_e, term_r = terms[-1]
-            shifted = np.concatenate([term_e + np.eye(n, dtype=int)[a] for a in group])
-            # one vector-matrix product per monomial and factor, times 1 / order
-            # rather than divided by it: the recorded reports were computed so
-            products = np.array([row @ mats[a] for a in group for row in term_r]) * (1.0 / order)
+            # a vector-matrix product per monomial and factor, row by row, times
+            # 1 / order rather than divided by it: the recorded reports were so
+            products = np.concatenate([(term_r[:, None, :] @ mats[a])[:, 0] for a in group]) * (1.0 / order)
             magnitudes = np.concatenate([np.abs(term_r) @ sizes[a] for a in group]) * (1.0 / order)
-            term_e, where = np.unique(shifted, axis=0, return_inverse=True)
-            term_r = np.zeros((len(term_e), d), dtype=complex)
-            term_m = np.zeros(term_r.shape)
-            np.add.at(term_r, where.reshape(-1), products)  # adding to 0j also clears signed zeros
-            np.add.at(term_m, where.reshape(-1), magnitudes)
+            if len(group) == 1:  # each monomial moves to its own, in sorted order; + 0j clears signed zeros
+                term_e, term_r, term_m = term_e + factors[0], products + 0j, magnitudes
+            else:  # pairs[k, a, m]: component k of factor a's product at monomial m
+                pairs = lambda p: p.T.reshape(d, len(group), len(term_e))
+                term_e, term_r, term_m = collect(factors, term_e, pairs(products), pairs(magnitudes))
+                term_r, term_m = term_r.T, term_m.T
             prune(term_r, term_m)
             kept = term_r.any(axis=1)
             if not kept.any():
@@ -201,7 +201,8 @@ def kernel_eval(model: OrbitModel, z: Sequence[complex], w: Sequence[complex]) -
         raise ModelStructureError(f"expected two points with {model.n} coordinates")
     omega = coherent_covector(model)
     with np.errstate(all="ignore"):
-        val = complex(omega.eval(z) @ np.conj(omega.eval(w)))
+        at_z = omega.eval(z)
+        val = complex(at_z @ np.conj(at_z if z.tobytes() == w.tobytes() else omega.eval(w)))
     if not cmath.isfinite(val):
         raise DegeneratePointError(f"kernel value at z = {z.tolist()}, w = {w.tolist()} is not finite: {val}")
     return val
@@ -269,20 +270,21 @@ def extract_coordinates(
     if v.shape[0] != model.dim_rep:
         raise ModelStructureError(f"covector length {v.shape[0]} != dim_rep {model.dim_rep}")
     mu = v[model.e0_index]
-    if _on_polar_divisor(model, v, mu):
-        raise PolarDivisorError("covector lies on the polar divisor of the base point")
-    W = v / mu
-    phi = model.derived.chart[3]
-    omega = coherent_covector(model)
-    z = np.zeros(model.n, dtype=complex)
-    for active in model.derived.grade_steps:
-        partial = omega.eval(z)
-        for a in active:
-            z[a] = (W - partial) @ phi[:, a]
-    block = model.rep.block_dim
-    resid = v[:block] - mu * omega.eval(z)[:block]
-    rnorm = float(np.linalg.norm(resid))
-    threshold = tol * float(np.linalg.norm(v[:block])) + float(np.linalg.norm(v[block:]))
+    with np.errstate(all="ignore"):  # a covector that is not finite fails the residual test
+        if _on_polar_divisor(model, v, mu):
+            raise PolarDivisorError("covector lies on the polar divisor of the base point")
+        W = v / mu
+        phi = model.derived.chart[3]
+        omega = coherent_covector(model)
+        z = np.zeros(model.n, dtype=complex)
+        for step, active in enumerate(model.derived.grade_steps):
+            partial = omega.coeffs[:, 0] if step == 0 else omega.eval(z)  # omega(0) is its constant column
+            for a in active:
+                z[a] = (W - partial) @ phi[:, a]
+        block = model.rep.block_dim
+        resid = v[:block] - mu * omega.eval(z)[:block]
+        rnorm = float(np.linalg.norm(resid))
+        threshold = tol * float(np.linalg.norm(v[:block])) + float(np.linalg.norm(v[block:]))
     if not rnorm <= threshold:  # a NaN residual fails too
         raise PointOffOrbitError(
             f"extraction residual {rnorm:.3e} exceeds {threshold:.3e}; "
@@ -299,19 +301,20 @@ def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.nda
     if V.shape[1] != model.dim_rep:
         raise ModelStructureError(f"covector length {V.shape[1]} != dim_rep {model.dim_rep}")
     mu = V[:, model.e0_index]
-    polar = _on_polar_divisor(model, V, mu)
-    # polar rows are rejected below; dividing them by 1 keeps them finite
-    W = V / np.where(polar, 1, mu)[:, None]
     phi = model.derived.chart[3]
     omega = coherent_covector(model)
     Z = np.zeros((len(V), model.n), dtype=complex)
-    for active in model.derived.grade_steps:
-        D = (W - omega.eval(Z))[:, None, :]
-        for a in active:
-            Z[:, a] = (D @ phi[:, a][:, None])[:, 0, 0]
-    block = model.rep.block_dim
-    rnorm = _row_norms(V[:, :block] - mu[:, None] * omega.eval(Z)[:, :block])
-    threshold = tol * _row_norms(V[:, :block]) + _row_norms(V[:, block:])
+    with np.errstate(all="ignore"):
+        polar = _on_polar_divisor(model, V, mu)
+        # polar rows are rejected below; dividing them by 1 keeps them finite
+        W = V / np.where(polar, 1, mu)[:, None]
+        for step, active in enumerate(model.derived.grade_steps):
+            D = (W - (omega.coeffs[:, 0] if step == 0 else omega.eval(Z)))[:, None, :]
+            for a in active:
+                Z[:, a] = (D @ phi[:, a][:, None])[:, 0, 0]
+        block = model.rep.block_dim
+        rnorm = _row_norms(V[:, :block] - mu[:, None] * omega.eval(Z)[:, :block])
+        threshold = tol * _row_norms(V[:, :block]) + _row_norms(V[:, block:])
     for k in np.flatnonzero(polar | ~(rnorm <= threshold)):
         extract_coordinates(model, V[k], tol)  # raises the one-covector error
     return mu, Z
@@ -342,22 +345,37 @@ def act(rows: np.ndarray, A: np.ndarray) -> np.ndarray:
     applied s times, each summed until every row's term is at most one ulp
     of its sum (in its largest real or imaginary part); so the work grows
     with s."""
-    rows = np.asarray(rows, dtype=complex)
-    A = np.asarray(A, dtype=complex)
+    return _act(rows, A, np.ones(1))[..., 0, :]
+
+
+def _act(rows: np.ndarray, A: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """rows @ exp(c A) for each signed power of two c of ``scales``,
+    (..., S, d), each bit for bit :func:`act` of c A (barring subnormal
+    terms).  When every c A takes one step (|c| s <= 1), the k-th term of
+    c A is exactly c^k times A's, as every product and the division by k
+    scale exactly, so one chain of terms serves all S sums, each with its
+    own stop test.  Otherwise each c A acts as its own generator."""
+    rows, A = np.asarray(rows, dtype=complex), np.asarray(A, dtype=complex)
     norms = np.abs(A).sum(axis=-1).max(axis=-1, initial=0.0)
     if not np.all(np.isfinite(norms)):
         raise ValueError("generator is not finite")
+    if len(scales) > 1 and np.max(np.abs(scales)) * np.max(norms, initial=0.0) > 1:
+        rows = np.broadcast_to(rows[..., None, :], (*rows.shape[:-1], len(scales), rows.shape[-1]))
+        return _act(rows, scales[:, None, None] * A[..., None, :, :], np.ones(1))[..., 0, :]
     steps = np.broadcast_to(np.ceil(np.maximum(norms, 1.0)), rows.shape[:-1])
     size = lambda v: np.max(np.abs(v.view(float)), axis=-1)  # the largest real or imaginary part
-    out = rows.copy()
-    for step in range(int(steps.max(initial=0))):
-        term, total, going, k = out, out.copy(), steps > step, 0
+    out = np.repeat(rows[..., None, :], len(scales), axis=-2)
+    for step in range(int(steps.max(initial=0))):  # one step unless there is one scale
+        term, total, power, k = out[..., 0, :], out.copy(), np.ones(len(scales)), 0
+        going = np.repeat((steps > step)[..., None], len(scales), axis=-1)
         while going.any():
             k += 1
             # row by row, in the shape one row alone takes
             term = (term[..., None, :] @ A)[..., 0, :] / (k * steps)[..., None]
-            np.add(total, term, out=total, where=going[..., None])
-            going &= size(term) > np.finfo(float).eps * size(total)
+            power *= scales
+            scaled = (term.view(float)[..., None, :] * power[:, None]).view(complex)  # c^k times the term
+            np.add(total, scaled, out=total, where=going[..., None])
+            going &= np.abs(power) * size(term)[..., None] > np.finfo(float).eps * size(total)
         out = total
     return out
 

@@ -14,9 +14,12 @@ that rendering reads, with a term-by-term ``eval`` as a reference.
 
 from __future__ import annotations
 
+import math
 from typing import Mapping, Sequence
 
 import numpy as np
+
+from .errors import ModelStructureError
 
 # A coefficient is dropped only when it is at most this many ulps of the
 # magnitudes summed into it: cancellation residue, not a small term.
@@ -132,13 +135,16 @@ def collect(ea: np.ndarray, eb: np.ndarray, pairs: np.ndarray, sizes: np.ndarray
     """Sum pair terms onto their monomials: pairs[..., i, j] is a coefficient
     at z^(ea[i] + eb[j]).  Exponents are encoded as integers in mixed radix,
     first variable most significant: sorted codes are sorted exponents, and
-    a sum of exponents is a sum of codes.  Pairs are summed per code in
-    pair order.  Returns (exponents, coeffs, mags) over the monomials some
+    a sum of exponents is a sum of codes; codes that would overflow int64
+    raise :class:`ModelStructureError`.  Pairs are summed per code in pair
+    order.  Returns (exponents, coeffs, mags) over the monomials some
     row uses; with ``sizes``, the magnitudes the pairs carry, mags are their
     sums and the coefficients are pruned against them (:func:`prune`),
     without, mags is None.  A sum is a product by the one monomial 1."""
-    radix = ea.max(axis=0, initial=0) + eb.max(axis=0, initial=0) + 1
-    place = np.array([np.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
+    radix = (ea.max(axis=0, initial=0) + eb.max(axis=0, initial=0) + 1).tolist()
+    if math.prod(radix) > 2**63 - 1:
+        raise ModelStructureError(f"exponent codes of n = {len(radix)} variables up to {max(radix) - 1} overflow int64")
+    place = np.array([math.prod(radix[i + 1 :]) for i in range(len(radix))], dtype=np.int64)
     codes, where = np.unique((ea @ place)[:, None] + eb @ place, return_inverse=True)
     lead, width = pairs.shape[:-2], len(codes)
     rows = int(np.prod(lead))

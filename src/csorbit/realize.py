@@ -39,7 +39,7 @@ import numpy as np
 
 from .algebra import AlgebraElement, OrbitModel, derived_matrix
 from .errors import CsorbitError, ModelStructureError, NonpolynomialRealizationError, PartialTableError
-from .orbit import Exp, act, coherent_covector, extract_coordinates, group_action, moved_covector
+from .orbit import Exp, _act, act, coherent_covector, extract_coordinates, moved_covector
 from .polyops import PolyEntries, collect, commutators, diffop_array, partials, prune
 
 SOLVER_TOL = 1e-9
@@ -259,24 +259,27 @@ def flow_crosscheck(
 
     ``x`` is one element and ``z0`` one point (n,) or a stack (N, n), giving
     the max deviation, or G elements and a (G, N, n) stack, giving the (G,)
-    deviations.  exp(+-hX) and exp(+-hX/2) act on omega at the points as one
-    :func:`orbit.act` on (G, N, 4, d) rows, extracted at once: each value is
-    bit for bit its one-point :func:`group_action`'s, and the error raised
-    is the first failing row's: element, then point, then action.
+    deviations (empty for no elements).  exp(+-hX) and exp(+-hX/2) act on
+    omega at the points by one chain of Taylor terms (:func:`orbit._act`),
+    and the (G, N, 4) rows are extracted at once: each value is bit for bit
+    its one-point :func:`group_action`'s, and the error raised is the first
+    failing row's: element, then point, then action.
     """
     elements = [x] if isinstance(x, AlgebraElement) else list(x)
     points = np.asarray(z0, dtype=complex)
     points = np.atleast_2d(points)[None] if isinstance(x, AlgebraElement) else points
     if points.ndim != 3 or points.shape[0] != len(elements) or points.shape[2] != model.n:
         raise ModelStructureError(f"points {np.shape(z0)} do not fit {len(elements)} element(s) with n = {model.n}")
-    d, steps = model.dim_rep, np.array([h, -h, h / 2, -h / 2])
-    X = steps[:, None, None] * np.array([derived_matrix(model, y) for y in elements])[:, None, None]  # (G, 1, 4, d, d)
+    if not elements:
+        return np.zeros(0)
+    scales = np.array([1.0, -1.0, 0.5, -0.5])
+    hX = h * np.array([derived_matrix(model, y) for y in elements])[:, None]  # (G, 1, d, d)
     ops = [realize_generator(model, y) if table is None else table.operator(y) for y in elements]
     realized = np.array([op.eval(p) for op, p in zip(ops, points)])  # (G, N, n + 1)
-    rows = coherent_covector(model).eval(points.reshape(-1, model.n)).reshape(*points.shape[:-1], 1, d)
-    mu, moved = extract_coordinates(model, act(np.broadcast_to(rows, (*points.shape[:-1], 4, d)), X))
+    rows = coherent_covector(model).eval(points.reshape(-1, model.n)).reshape(*points.shape[:-1], model.dim_rep)
+    mu, moved = extract_coordinates(model, _act(rows, hX, scales))  # (G, N, 4) actions
     pairs = np.concatenate([mu[..., None], moved], axis=-1)  # (J, z') side by side
-    d_h, d_half = np.moveaxis((pairs[..., ::2, :] - pairs[..., 1::2, :]) / (2 * steps[::2, None]), -2, 0)
+    d_h, d_half = np.moveaxis((pairs[..., ::2, :] - pairs[..., 1::2, :]) / (2 * h * scales[::2, None]), -2, 0)
     deviation = np.max(np.abs((4 * d_half - d_h) / 3 - realized), axis=(1, 2), initial=0.0)
     return float(deviation[0]) if isinstance(x, AlgebraElement) else deviation
 
@@ -291,10 +294,10 @@ def cocycle_residual(
 
     ``z`` is one point (n,), run as a stack of one, or a stack (N, n) with
     g1 and g2 each one element or N per-row ones, giving the (N,) residuals.
-    Shapes are checked first.  A failing stack of several rows is run again
-    row by row, so that the first failing row's error is raised: the last
-    action starts from the second's output, so the stack's own errors do
-    not come in row order."""
+    J(g2, z) and g2.z are extracted first, then g1 acts on omega(z) g2 and
+    omega(g2.z) as one stack; the composite's error comes before omega(z)
+    g2's.  Shapes are checked first.  A failing stack of several rows is run
+    again row by row, so that the first failing row's error is raised."""
     points = np.atleast_2d(np.asarray(z, dtype=complex))
     if not isinstance(g1, Exp):
         g1, g2 = np.asarray(g1, dtype=complex), np.asarray(g2, dtype=complex)
@@ -302,11 +305,18 @@ def cocycle_residual(
     if g1.shape not in ((d, d), (len(points), d, d)):
         raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(points)} of them")
     moved = moved_covector(model, g2, points)  # checks the points and g2 before acting
+    composite = lambda: act(moved, g1.A) if isinstance(g1, Exp) else moved_covector(model, g2 @ g1, points)
     try:
-        composite = act(moved, g1.A) if isinstance(g1, Exp) else moved_covector(model, g2 @ g1, points)
-        j12, _ = extract_coordinates(model, composite)
-        j2, z2 = extract_coordinates(model, moved)
-        j1, _ = group_action(model, g1, z2)
+        try:
+            j2, z2 = extract_coordinates(model, moved)
+        except CsorbitError:
+            extract_coordinates(model, composite())  # raises first if the composite fails too
+            raise
+        if isinstance(g1, Exp):
+            both = act(np.stack([moved, coherent_covector(model).eval(z2)]), g1.A)
+        else:
+            both = np.stack([composite(), moved_covector(model, g1, z2)])
+        j12, j1 = extract_coordinates(model, both)[0]
     except CsorbitError:
         if len(points) > 1:  # the first failing row raises
             for k in range(len(points)):

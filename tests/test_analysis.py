@@ -3,6 +3,7 @@ import pytest
 
 from csorbit import (
     AlgebraElement,
+    CsorbitError,
     UnsupportedCheckError,
     adjoint_residual,
     load_model,
@@ -260,6 +261,26 @@ def test_rule_below_the_sized_one_still_fails_with_its_note():
     records = run_checks(m, ["parseval", "reproducing", "adjoint"], quad=(64, 64))
     assert [r["status"] for r in records] == ["fail"] * 3
     assert {r["note"] for r in records} == {"rule 64x64 is below the sized 64x82 for d = 81"}
+
+
+def test_radial_rule_is_computed_once_per_kind_count_and_parameter():
+    a, b = quadrature_rule(load_model("heisenberg", trunc=40)), quadrature_rule(load_model("heisenberg", trunc=20))
+    assert a.log_r is b.log_r and a.log_w is b.log_w
+    assert not a.log_r.flags.writeable and not a.log_w.flags.writeable
+    u, w = np.polynomial.laguerre.laggauss(64)
+    assert np.array_equal(a.log_r, np.log(u) / 2.0) and np.array_equal(a.log_w, np.log(w))
+    assert quadrature_rule(load_model("su2", j=1), 64, 64).log_w is not quadrature_rule(load_model("su2", j=2), 64, 64).log_w
+
+
+def test_radial_rule_that_is_not_finite_fails_the_trio():
+    # numpy's Gauss-Laguerre weights are NaN from about 190 nodes; the sized
+    # rule at trunc = 400 has 202
+    m = load_model("heisenberg", trunc=400)
+    note = "the gaussian radial rule with 202 nodes has weights that are not finite"
+    with pytest.raises(CsorbitError, match=note):
+        quadrature_rule(m)
+    records = run_checks(m, ["parseval", "reproducing"])
+    assert [(r["status"], r["note"]) for r in records] == [("fail", note)] * 2
 
 
 def test_quadrature_checks_pass_at_large_spin():

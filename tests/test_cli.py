@@ -299,6 +299,19 @@ def test_large_spin_check_passes_without_numpy_warnings(j):
     assert [r["status"] for r in records] == ["pass"] * 12
 
 
+def test_radial_rule_that_is_not_finite_fails_without_numpy_warnings():
+    # numpy's Gauss-Laguerre rule has NaN weights at heisenberg trunc=400's
+    # 202 nodes: parseval fails and says so, and stderr carries no warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "csorbit", "check", "--model", "heisenberg", "--trunc", "400", "--suite", "parseval", "--json"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1 and proc.stderr == ""
+    (record,) = json.loads(proc.stdout)["checks"]
+    assert (record["status"], record["note"]) == ("fail", "the gaussian radial rule with 202 nodes has weights that are not finite")
+
+
 def test_reused_parser_matches_fresh_processes(capsys):
     # one process parses every run with the same parser; --eval extends a
     # fresh list each run, so the second kernel run does not see the first

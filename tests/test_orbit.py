@@ -31,7 +31,8 @@ from csorbit import (
 )
 from csorbit.algebra import covector_direct, covector_numeric, derived_matrix
 from csorbit.orbit import Exp, act
-from csorbit.polyops import PolyEntries
+from csorbit.polyops import PolyEntries, prune
+from csorbit.realize import FLOW_STEP
 
 ALL_MODELS = [
     ("su2", {"j": 0.5}),
@@ -522,6 +523,130 @@ def test_act_zero_and_nilpotent_generators(rng):
     assert np.max(np.abs(act(rows, N) - ref)) <= 1e-13 * np.max(np.abs(ref))
     with pytest.raises(ValueError, match="not finite"):
         act(rows, np.full((6, 6), np.nan))
+
+
+def _u64(a):
+    """The exact bits of an array, for comparisons bit for bit."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+FLOW_SCALES = np.array([1.0, -1.0, 0.5, -0.5])
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1}), ("heisenberg", {"trunc": 40})])
+def test_one_chain_is_the_four_flow_actions(name, params, rng):
+    # exp(+-hX) and exp(+-hX/2) from one chain of terms, bit for bit the
+    # four actions by the generators (c h) X, each its own row of a stack
+    m = load_model(name, **params)
+    X = np.array([derived_matrix(m, AlgebraElement.basis(m.spec.dim, i)) for i in range(m.spec.dim)])
+    points = 0.3 * (rng.uniform(-1, 1, (len(X), 5, m.n)) + 1j * rng.uniform(-1, 1, (len(X), 5, m.n)))
+    rows = coherent_covector(m).eval(points.reshape(-1, m.n)).reshape(len(X), 5, m.dim_rep)
+    four = act(np.broadcast_to(rows[..., None, :], (len(X), 5, 4, m.dim_rep)), (FLOW_STEP * FLOW_SCALES)[:, None, None] * X[:, None, None])
+    assert np.array_equal(_u64(orbit_mod._act(rows, FLOW_STEP * X[:, None], FLOW_SCALES)), _u64(four))
+
+
+def test_scaled_actions_of_several_steps_are_their_own_actions(rng):
+    # |c| s > 1: each c A takes its own steps, and acts as act of c A does
+    A = _generator(rng, 8, 3.0)
+    rows = rng.standard_normal((5, 8)) + 1j * rng.standard_normal((5, 8))
+    got = orbit_mod._act(rows, A, FLOW_SCALES)
+    for k, c in enumerate(FLOW_SCALES):
+        assert np.array_equal(_u64(got[:, k]), _u64(act(rows, c * A)))
+
+
+def _series_on_exponent_rows(m, mats):
+    """omega as the series was first built: each order's monomials found by
+    np.unique over exponent rows and summed by np.add.at."""
+    n, d = m.n, m.dim_rep
+    sizes = [np.abs(a) for a in mats]
+    expos, rows = np.zeros((1, n), dtype=int), np.eye(1, d, m.e0_index, dtype=complex)
+    for group in filter(None, [range(n)] if m.chart == "sum" else [[a] for a in reversed(range(n))]):
+        terms = [(expos, rows)]
+        while True:
+            (term_e, term_r), order = terms[-1], len(terms)
+            shifted = np.concatenate([term_e + np.eye(n, dtype=int)[a] for a in group])
+            products = np.array([row @ mats[a] for a in group for row in term_r]) * (1.0 / order)
+            magnitudes = np.concatenate([np.abs(term_r) @ sizes[a] for a in group]) * (1.0 / order)
+            term_e, where = np.unique(shifted, axis=0, return_inverse=True)
+            term_r, term_m = np.zeros((len(term_e), d), dtype=complex), np.zeros((len(term_e), d))
+            np.add.at(term_r, where.reshape(-1), products)
+            np.add.at(term_m, where.reshape(-1), magnitudes)
+            prune(term_r, term_m)
+            kept = term_r.any(axis=1)
+            if not kept.any():
+                break
+            terms.append((term_e[kept], term_r[kept]))
+        expos, rows = (np.concatenate(part) for part in zip(*terms))
+    expos, sort = np.unique(expos, axis=0, return_index=True)
+    return expos, rows[sort].T
+
+
+@pytest.mark.parametrize(
+    "name,params",
+    [("su2", {"j": 16}), ("su2", {"j": 100}), ("heisenberg", {"trunc": 40}), ("su11", {"k": 1.5, "trunc": 40}), ("su3", {"p": 3, "q": 3}), SU3_SUM_CHART],
+)
+def test_series_on_codes_is_the_series_on_exponent_rows(name, params):
+    m = _load(name, params)
+    expos, coeffs = _series_on_exponent_rows(m, m.derived.chart[1])
+    omega = coherent_covector(m)
+    assert np.array_equal(omega.exponents, expos)
+    assert np.array_equal(_u64(omega.coeffs), _u64(coeffs))
+
+
+@pytest.mark.parametrize("name,params", ALL_MODELS + [SU3_SUM_CHART])
+def test_constant_column_is_omega_at_zero(name, params):
+    # extraction's first grade step reads omega(0) off the table
+    m = _load(name, params)
+    omega = coherent_covector(m)
+    assert not omega.exponents[0].any()
+    assert np.array_equal(_u64(omega.coeffs[:, 0]), _u64(omega.eval(np.zeros(m.n))))
+    assert np.array_equal(_u64(np.tile(omega.coeffs[:, 0], (3, 1))), _u64(omega.eval(np.zeros((3, m.n)))))
+
+
+def _counting_evals(monkeypatch, m):
+    omega, calls = coherent_covector(m), []
+    real = omega.eval
+    monkeypatch.setattr(omega, "eval", lambda points: calls.append(1) or real(points))
+    return calls
+
+
+@pytest.mark.parametrize("name,params,evals", [("su2", {"j": 16}, 1), ("heisenberg", {"trunc": 40}, 1), ("su3", {"p": 2, "q": 1}, 2)])
+def test_extraction_evaluates_omega_after_the_first_grade(name, params, evals, monkeypatch, rng):
+    # one evaluation per later grade step and one for the residual
+    m = load_model(name, **params)
+    z0 = 0.3 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
+    v = 1.5 * covector_numeric(m, z0)
+    expected = extract_coordinates(m, v), extract_coordinates(m, np.array([v, 2 * v]))
+    calls = _counting_evals(monkeypatch, m)
+    got = extract_coordinates(m, v), extract_coordinates(m, np.array([v, 2 * v]))
+    assert len(calls) == 2 * evals
+    assert all(np.array_equal(_u64(a), _u64(b)) for pair in zip(got, expected) for a, b in zip(*pair))
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("heisenberg", {"trunc": 40}), ("su3", {"p": 2, "q": 1})])
+def test_kernel_on_the_diagonal_evaluates_omega_once(name, params, monkeypatch, rng):
+    m = load_model(name, **params)
+    omega = coherent_covector(m)
+    z = 0.4 * (rng.standard_normal(m.n) + 1j * rng.standard_normal(m.n))
+    two = complex(omega.eval(z) @ np.conj(omega.eval(z)))
+    calls = _counting_evals(monkeypatch, m)
+    val = kernel_eval(m, z, z.copy())
+    assert len(calls) == 1
+    assert (val.real.hex(), val.imag.hex()) == (two.real.hex(), two.imag.hex())
+    kernel_eval(m, np.zeros(m.n), -np.zeros(m.n))  # equal, but not bit for bit
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf])
+def test_covector_that_is_not_finite_is_off_the_orbit_without_warnings(su2_one, su3_11, entry):
+    # the suite turns RuntimeWarnings into errors, so a numpy warning on the
+    # way to the error would fail here
+    bad = [(su2_one, [entry, 0, 0]), (su2_one, [1, entry, 0]), (su3_11, np.where(np.arange(8) == 3, entry, 1.0))]
+    for m, v in bad:
+        with pytest.raises(PointOffOrbitError):
+            extract_coordinates(m, v)
+        with pytest.raises(PointOffOrbitError):
+            extract_coordinates(m, np.array([covector_numeric(m, np.full(m.n, 0.1)), v]))
 
 
 @pytest.mark.parametrize("name,params", [("su2", {"j": 2}), ("su3", {"p": 2, "q": 1})])

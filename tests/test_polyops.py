@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from csorbit import coherent_covector, load_model, quadrature_rule
+from csorbit import ModelStructureError, coherent_covector, load_model, quadrature_rule
 from csorbit.polyops import (
     MultiPoly,
     PolyEntries,
@@ -275,3 +275,13 @@ def test_degree_after_pruning():
     pairs = np.array([[1.0], [1 + 2**-52], [-1.0]])
     expos, coeffs, _ = collect(np.array([[2], [5], [5]]), ONE(1), pairs, np.abs(pairs))
     assert PolyEntries(expos, coeffs[None]).degrees.tolist() == [2]
+
+
+def test_collect_rejects_exponent_codes_beyond_int64():
+    # 8 variables with exponents 300 on each side need 601^8 > 2^63 codes;
+    # they used to wrap, giving exponents such as [1, 419, 63, 475, ...]
+    e = np.full((1, 8), 300)
+    with pytest.raises(ModelStructureError, match="n = 8 variables up to 600 overflow int64"):
+        collect(e, e, np.ones((1, 1, 1), dtype=complex))
+    expos, coeffs, _ = collect(e[:, :6], e[:, :6], np.ones((1, 1, 1), dtype=complex))
+    assert expos.tolist() == [[600] * 6] and coeffs.tolist() == [[1]]

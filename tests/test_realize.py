@@ -6,6 +6,7 @@ import scipy.linalg
 
 from csorbit import (
     AlgebraElement,
+    CsorbitError,
     LieAlgebraSpec,
     MatrixRep,
     ModelStructureError,
@@ -27,7 +28,7 @@ from csorbit import (
 )
 from csorbit import realize
 from csorbit.algebra import derived_matrix
-from csorbit.orbit import Exp, coherent_covector, extract_coordinates
+from csorbit.orbit import Exp, act, coherent_covector, extract_coordinates, moved_covector
 from csorbit.polyops import PolyEntries, diffop_array, partials
 from csorbit.realize import _closed_form, _intertwining_defect
 
@@ -229,25 +230,26 @@ def test_flow_crosscheck_heisenberg_raising(heis10):
 
 
 def _moving_off_the_orbit(monkeypatch, model, elements, points, failing):
-    """Patch the flow's ``act`` so that the rows of each (element, point,
+    """Patch the flow's ``_act`` so that the rows of each (element, point,
     step t) in ``failing`` leave the orbit, each by a different amount.  A
-    row is found by its generator t X and its input omega(z), not by its
-    place in the stack.  Returns the rows as moved, by name."""
-    real_act, moved = realize.act, {}
+    row is found by its generator h X, its input omega(z) and the scale c
+    with c h = t, not by its place in the stack.  Returns the rows as
+    moved, by name."""
+    real_act, moved, h = realize._act, {}, realize.FLOW_STEP
     omega = coherent_covector(model)
 
-    def act(rows, A):
-        out = real_act(rows, A)
-        gens = np.broadcast_to(A, (*out.shape[:-1], *A.shape[-2:]))
+    def act(rows, A, scales):
+        out = real_act(rows, A, scales)
+        gens = np.broadcast_to(A, (*rows.shape[:-1], *A.shape[-2:]))
         for k, (g, p, t) in enumerate(failing):
-            tX = t * derived_matrix(model, elements[g])
-            for r in np.ndindex(out.shape[:-1]):
-                if np.array_equal(gens[r], tX) and np.array_equal(rows[r], omega.eval(points[g, p])):
-                    out[r][-1] += 10.0 ** (k + 1)
-                    moved[g, p, t] = out[r].copy()
+            hX, c = h * derived_matrix(model, elements[g]), list(h * scales).index(t)
+            for r in np.ndindex(rows.shape[:-1]):
+                if np.array_equal(gens[r], hX) and np.array_equal(rows[r], omega.eval(points[g, p])):
+                    out[r][c][-1] += 10.0 ** (k + 1)
+                    moved[g, p, t] = out[r][c].copy()
         return out
 
-    monkeypatch.setattr(realize, "act", act)
+    monkeypatch.setattr(realize, "_act", act)
     return moved
 
 
@@ -346,6 +348,10 @@ def test_flow_crosscheck_over_no_points(su2_one):
     basis = [AlgebraElement.basis(3, idx) for idx in range(3)]
     assert flow_crosscheck(su2_one, basis[2], np.zeros((0, 1))) == 0.0
     assert flow_crosscheck(su2_one, basis, np.zeros((3, 0, 1))).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_flow_crosscheck_over_no_elements(su2_one):
+    assert flow_crosscheck(su2_one, [], np.zeros((0, 3, 1))).shape == (0,)
 
 
 def test_flow_crosscheck_zero_element(su2_one):
@@ -454,6 +460,46 @@ def test_cocycle_by_generators_raises_first_failing_pair(su2_one, rng):
     with pytest.raises(PointOffOrbitError) as stacked:
         cocycle_residual(su2_one, Exp(-A2s), Exp(A2s), points)
     assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
+def test_cocycle_is_its_three_separate_actions(name, params, rng):
+    # g1 on omega(z) g2 and on omega(g2.z) as one stack, bit for bit the
+    # composite, g2 and g1 each acting and extracted alone
+    m = load_model(name, **params)
+    omega, u64 = coherent_covector(m), lambda a: np.asarray(a).view(np.uint64)
+    A1s, A2s = _generators(m, rng, 6), _generators(m, rng, 6)
+    points = 0.3 * (rng.standard_normal((6, m.n)) + 1j * rng.standard_normal((6, m.n)))
+    moved = act(omega.eval(points), A2s)
+    (j12, _), (j2, z2) = extract_coordinates(m, act(moved, A1s)), extract_coordinates(m, moved)
+    j1, _ = extract_coordinates(m, act(omega.eval(z2), A1s))
+    reference = [abs(a - b * c) for a, b, c in zip(j12, j1, j2)]
+    assert np.array_equal(u64(cocycle_residual(m, Exp(A1s), Exp(A2s), points)), u64(reference))
+    g1s, g2s = scipy.linalg.expm(A1s), scipy.linalg.expm(A2s)
+    times = lambda rows, g: (rows[:, None, :] @ g)[:, 0]
+    (j12, _), (j2, z2) = extract_coordinates(m, times(omega.eval(points), g2s @ g1s)), extract_coordinates(m, times(omega.eval(points), g2s))
+    j1, _ = extract_coordinates(m, times(omega.eval(z2), g1s))
+    reference = [abs(a - b * c) for a, b, c in zip(j12, j1, j2)]
+    assert np.array_equal(u64(cocycle_residual(m, g1s, g2s, points)), u64(reference))
+
+
+@pytest.mark.parametrize("by_generator", [False, True])
+def test_cocycle_raises_the_composites_error_first(su2_one, rng, by_generator):
+    # g2 moves the point onto the polar divisor (up to rounding) and g1 is
+    # not a group element, so the composite and omega(z) g2 both fail: the
+    # composite's error comes first, as when it was extracted first
+    J = su2_one.rep.matrices
+    A1, A2 = rng.standard_normal((3, 3)), (np.pi / 2) * np.array(J[1] - J[2])
+    g1, g2 = (Exp(A1), Exp(A2)) if by_generator else (scipy.linalg.expm(A1), scipy.linalg.expm(A2))
+    z = np.zeros((1, 1), dtype=complex)
+    moved = moved_covector(su2_one, g2, z)
+    composite = act(moved, A1) if by_generator else moved_covector(su2_one, g2 @ g1, z)
+    errors = []
+    for v in (composite, moved, None):
+        with pytest.raises(CsorbitError) as error:
+            extract_coordinates(su2_one, v) if v is not None else cocycle_residual(su2_one, g1, g2, z[0])
+        errors.append(str(error.value))
+    assert errors[2] == errors[0] != errors[1]
 
 
 def test_cocycle_stack_shape_mismatches(su2_one, rng):
