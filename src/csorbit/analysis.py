@@ -89,7 +89,7 @@ def quadrature_rule(model: OrbitModel, radial: int | None = None, angular: int |
     angular = sized[1] if angular is None else angular
     if radial < 1 or angular < 1:
         raise ValueError("radial and angular node counts must be >= 1")
-    param = {"fubini-study": "j", "bergman-disk": "k"}.get(ms.kind)
+    param = ms._REQUIRED_PARAM.get(ms.kind)
     log_r, log_w, mass_defect = _radial_rule(ms.kind, radial, None if param is None else float(ms.params[param]))
     return QuadratureRule(log_r, log_w, radial, angular, mass_defect)
 

@@ -84,6 +84,12 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _tolerance(text: str) -> float:
+    if (value := _finite_float(text)) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
@@ -108,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--q", type=int, help="su3 second weight label")
         p.add_argument("--trunc", type=int, help="ladder truncation level")
         p.add_argument("--margin", type=int, help="truncation margin")
-        p.add_argument("--tol", type=_finite_float, help="override all check tolerances")
+        p.add_argument("--tol", type=_tolerance, help="override all check tolerances")
         p.add_argument("--degree-cap", type=_positive_int, default=realize.DEGREE_CAP, help="largest degree accepted")
         p.add_argument("--quad", help="radial,angular quadrature nodes (default: sized from the model)")
         p.add_argument("--json", action="store_true", help="emit the machine-readable report")

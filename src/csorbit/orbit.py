@@ -21,9 +21,10 @@ in 2n variables has C.T @ conj(C), and is evaluated at w = conj(point)
 when a sesquilinear pairing is wanted.
 Group elements act on covectors by right multiplication, omega(z) g =
 J(g, z) omega(g.z); with that convention the composite of g1 and g2 (g2
-acting first) is the matrix product g2 @ g1.  An element exp(A) may also be
-given by its generator, :class:`Exp`, and then acts on the rows by
-:func:`act` without its matrix being formed.
+acting first) is the matrix product g2 @ g1, applied as g2 and then g1
+acting on the rows.  An element exp(A) may also be given by its generator,
+:class:`Exp`, acting by :func:`act` without its matrix being formed; both
+kinds act through :func:`_apply`.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
-from .algebra import AlgebraElement, OrbitModel, _validation_metrics, covector_numeric, derived_matrix
+from .algebra import AlgebraElement, OrbitModel, _validation_metrics, derived_matrix
 from .errors import (
     DegeneratePointError,
     ModelStructureError,
@@ -239,9 +240,7 @@ def _on_polar_divisor(model: OrbitModel, v: np.ndarray, mu) -> np.ndarray:
     return (mu == 0) | (np.max(low, axis=-1, initial=0.0) > np.abs(mu) / POLAR_TOL)
 
 
-def extract_coordinates(
-    model: OrbitModel, v: Sequence[complex] | np.ndarray, tol: float = EXTRACT_TOL
-) -> tuple[complex | np.ndarray, np.ndarray]:
+def extract_coordinates(model: OrbitModel, v: Sequence[complex] | np.ndarray) -> tuple[complex | np.ndarray, np.ndarray]:
     """Graded triangular solve of v = mu * omega(z).
 
     mu is read off the extremal component; a covector on the polar divisor
@@ -250,29 +249,28 @@ def extract_coordinates(
     functional phi_a applied to omega(z) equals z_a plus a polynomial in the
     already-determined lower-grade coordinates, so each coordinate costs one
     linear step with a polynomial correction.  The residual
-    |v - mu omega(z)| <= tol |v| is verified afterwards; for truncated
-    models it is measured on the artifact-free block and the threshold is
-    widened by the magnitude carried in the artifact zone, since group
-    motion legitimately leaks truncation tails downward and a mismatch below
-    that scale cannot be distinguished from truncation error.
+    |v - mu omega(z)| <= EXTRACT_TOL |v| is verified afterwards; for
+    truncated models it is measured on the artifact-free block and the
+    threshold is widened by the magnitude carried in the artifact zone,
+    since group motion legitimately leaks truncation tails downward and a
+    mismatch below that scale cannot be distinguished from truncation error.
 
     ``v`` is one covector (d,), giving (mu, z), or a stack (..., d), giving
     (mu, z) of shapes (...) and (..., n): one table evaluation per grade for
     the whole stack, each row bit for bit the one-covector result.  If any
-    row fails, the first failing row is re-run alone and raises its
-    one-covector error.
+    row fails, the first failing row in C order raises its one-covector
+    error, read from the numbers the stack already holds.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim >= 2:
-        mu, z = _extract_stack(model, v.reshape(-1, v.shape[-1]), tol)
+        mu, z = _extract_stack(model, v.reshape(-1, v.shape[-1]))
         return mu.reshape(v.shape[:-1]), z.reshape(*v.shape[:-1], model.n)
     v = v.reshape(-1)
     if v.shape[0] != model.dim_rep:
         raise ModelStructureError(f"covector length {v.shape[0]} != dim_rep {model.dim_rep}")
     mu = v[model.e0_index]
     with np.errstate(all="ignore"):  # a covector that is not finite fails the residual test
-        if _on_polar_divisor(model, v, mu):
-            raise PolarDivisorError("covector lies on the polar divisor of the base point")
+        polar = _on_polar_divisor(model, v, mu)
         W = v / mu
         phi = model.derived.chart[3]
         omega = coherent_covector(model)
@@ -282,22 +280,25 @@ def extract_coordinates(
             for a in active:
                 z[a] = (W - partial) @ phi[:, a]
         block = model.rep.block_dim
-        resid = v[:block] - mu * omega.eval(z)[:block]
-        rnorm = float(np.linalg.norm(resid))
-        threshold = tol * float(np.linalg.norm(v[:block])) + float(np.linalg.norm(v[block:]))
-    if not rnorm <= threshold:  # a NaN residual fails too
-        raise PointOffOrbitError(
-            f"extraction residual {rnorm:.3e} exceeds {threshold:.3e}; "
-            "covector is not on the orbit"
-        )
+        rnorm = float(np.linalg.norm(v[:block] - mu * omega.eval(z)[:block]))
+        threshold = EXTRACT_TOL * float(np.linalg.norm(v[:block])) + float(np.linalg.norm(v[block:]))
+    if polar or not rnorm <= threshold:  # a NaN residual fails too
+        raise _extraction_error(polar, rnorm, threshold)
     return mu, z
 
 
-def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _extraction_error(polar: bool, rnorm: float, threshold: float) -> PolarDivisorError | PointOffOrbitError:
+    """The error of a rejected covector: on the polar divisor, or with residual ``rnorm`` above ``threshold``."""
+    if polar:
+        return PolarDivisorError("covector lies on the polar divisor of the base point")
+    return PointOffOrbitError(f"extraction residual {rnorm:.3e} exceeds {threshold:.3e}; covector is not on the orbit")
+
+
+def _extract_stack(model: OrbitModel, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The stacked form of :func:`extract_coordinates`.  Every product is
     taken row by row in the shape the one-covector path uses (a row with
     ``[:, None, :] @``, a functional on phi's strided column), which keeps
-    each row bit for bit equal to it."""
+    each row bit for bit the one-covector result, polar test, residual and threshold included."""
     if V.shape[1] != model.dim_rep:
         raise ModelStructureError(f"covector length {V.shape[1]} != dim_rep {model.dim_rep}")
     mu = V[:, model.e0_index]
@@ -314,9 +315,9 @@ def _extract_stack(model: OrbitModel, V: np.ndarray, tol: float) -> tuple[np.nda
                 Z[:, a] = (D @ phi[:, a][:, None])[:, 0, 0]
         block = model.rep.block_dim
         rnorm = _row_norms(V[:, :block] - mu[:, None] * omega.eval(Z)[:, :block])
-        threshold = tol * _row_norms(V[:, :block]) + _row_norms(V[:, block:])
-    for k in np.flatnonzero(polar | ~(rnorm <= threshold)):
-        extract_coordinates(model, V[k], tol)  # raises the one-covector error
+        threshold = EXTRACT_TOL * _row_norms(V[:, :block]) + _row_norms(V[:, block:])
+    for k in np.flatnonzero(polar | ~(rnorm <= threshold))[:1]:
+        raise _extraction_error(polar[k], rnorm[k], threshold[k])
     return mu, Z
 
 
@@ -326,13 +327,6 @@ class Exp:
     (N, d, d) stack, applied to rows by :func:`act` without being formed."""
 
     A: np.ndarray
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return np.shape(self.A)
-
-    def __getitem__(self, k) -> "Exp":
-        return Exp(self.A[k])
 
 
 def act(rows: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -380,23 +374,24 @@ def _act(rows: np.ndarray, A: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply(rows: np.ndarray, g: np.ndarray | Exp) -> np.ndarray:
+    """rows @ g for one (d,) row or (..., N, d) rows, with g one element or
+    one per row of the last stack axis, (N, d, d): matrices multiply each
+    row alone, generators (:class:`Exp`) act by :func:`act`."""
+    A = np.asarray(g.A if isinstance(g, Exp) else g, dtype=complex)
+    d = rows.shape[-1]
+    if A.shape not in ((d, d), (*rows.shape[-2:-1], d, d)):
+        raise ModelStructureError(f"group element of shape {A.shape} is not {d} x {d} or one such per row of {rows.shape[:-1]}")
+    return act(rows, A) if isinstance(g, Exp) else (rows[..., None, :] @ A)[..., 0, :]
+
+
 def moved_covector(model: OrbitModel, g: np.ndarray | Exp, z: Sequence[complex] | np.ndarray) -> np.ndarray:
-    """omega(z) g, one covector or an (N, d) stack, checked and computed as
-    :func:`group_action` does before extracting coordinates."""
-    z = np.asarray(z, dtype=complex)
-    d = model.dim_rep
-    gen = np.asarray(g.A if isinstance(g, Exp) else g, dtype=complex)
-    if z.ndim == 2:
-        if z.shape[1] != model.n:
-            raise ModelStructureError(f"expected points with {model.n} coordinates, got {z.shape[1]}")
-        if gen.shape not in ((d, d), (len(z), d, d)):
-            raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(z)} of them")
-        rows = coherent_covector(model).eval(z)
-        return act(rows, gen) if isinstance(g, Exp) else (rows[:, None, :] @ gen)[:, 0]
-    if gen.shape != (d, d):
-        raise ModelStructureError(f"group element must be {d} x {d}")
-    row = covector_numeric(model, z)
-    return act(row, gen) if isinstance(g, Exp) else row @ gen
+    """omega(z) g for one point (n,), a scalar when n = 1, or an (N, n)
+    stack, giving one covector or an (N, d) stack (see :func:`_apply`)."""
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    if z.ndim > 2 or z.shape[-1] != model.n:
+        raise ModelStructureError(f"points of shape {z.shape} are not one point or a stack of points with {model.n} coordinates")
+    return _apply(coherent_covector(model).eval(z), g)
 
 
 def group_action(
@@ -407,8 +402,8 @@ def group_action(
     omega(z) g = J omega(z'), returning (J, z').
 
     J is the multiplier (cocycle) value; composites obey
-    J(g1 o g2, z) = J(g1, g2.z) J(g2, z) when the composite g1 o g2 is the
-    matrix product g2 @ g1 (covectors are acted on from the right).
+    J(g1 o g2, z) = J(g1, g2.z) J(g2, z) with g1 o g2 (g2 acting first)
+    being g2 and then g1 acting on the rows (covectors are acted on from the right).
 
     ``z`` may also be a stack of points (N, n), acted on by one element
     ``g`` or row by row by a stack (N, d, d); the result is (J, z') of

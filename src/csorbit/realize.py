@@ -38,8 +38,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, OrbitModel, derived_matrix
-from .errors import CsorbitError, ModelStructureError, NonpolynomialRealizationError, PartialTableError
-from .orbit import Exp, _act, act, coherent_covector, extract_coordinates, moved_covector
+from .errors import ModelStructureError, NonpolynomialRealizationError, PartialTableError
+from .orbit import Exp, _act, _apply, coherent_covector, extract_coordinates, moved_covector
 from .polyops import PolyEntries, collect, commutators, diffop_array, partials, prune
 
 SOLVER_TOL = 1e-9
@@ -287,41 +287,20 @@ def flow_crosscheck(
 def cocycle_residual(
     model: OrbitModel, g1: np.ndarray | Exp, g2: np.ndarray | Exp, z: Sequence[complex] | np.ndarray
 ) -> float | np.ndarray:
-    """|J(g1 o g2, z) - J(g1, g2.z) J(g2, z)| where the composite g1 o g2
-    (g2 acting first) is realized as the matrix product g2 @ g1, or, for
-    elements given by generators (:class:`orbit.Exp`), as two successive
-    actions: omega(z) exp(A2) exp(A1), with no matrix formed.
+    """|J(g1 o g2, z) - J(g1, g2.z) J(g2, z)|, the composite g1 o g2 (g2
+    acting first) being omega(z) g2 and then g1 acting on it, for matrices
+    and generators (:class:`orbit.Exp`) alike, with no product formed.
 
     ``z`` is one point (n,), run as a stack of one, or a stack (N, n) with
     g1 and g2 each one element or N per-row ones, giving the (N,) residuals.
     J(g2, z) and g2.z are extracted first, then g1 acts on omega(z) g2 and
-    omega(g2.z) as one stack; the composite's error comes before omega(z)
-    g2's.  Shapes are checked first.  A failing stack of several rows is run
-    again row by row, so that the first failing row's error is raised."""
+    omega(g2.z) as one stack, extracted at once; each element's shape is
+    checked as it acts.  The error raised is the first failing row's of the
+    first failing extraction: J(g2, z), then the composite, then J(g1, g2.z)."""
     points = np.atleast_2d(np.asarray(z, dtype=complex))
-    if not isinstance(g1, Exp):
-        g1, g2 = np.asarray(g1, dtype=complex), np.asarray(g2, dtype=complex)
-    d = model.dim_rep
-    if g1.shape not in ((d, d), (len(points), d, d)):
-        raise ModelStructureError(f"group element must be {d} x {d} or a stack of {len(points)} of them")
-    moved = moved_covector(model, g2, points)  # checks the points and g2 before acting
-    composite = lambda: act(moved, g1.A) if isinstance(g1, Exp) else moved_covector(model, g2 @ g1, points)
-    try:
-        try:
-            j2, z2 = extract_coordinates(model, moved)
-        except CsorbitError:
-            extract_coordinates(model, composite())  # raises first if the composite fails too
-            raise
-        if isinstance(g1, Exp):
-            both = act(np.stack([moved, coherent_covector(model).eval(z2)]), g1.A)
-        else:
-            both = np.stack([composite(), moved_covector(model, g1, z2)])
-        j12, j1 = extract_coordinates(model, both)[0]
-    except CsorbitError:
-        if len(points) > 1:  # the first failing row raises
-            for k in range(len(points)):
-                cocycle_residual(model, *(g if len(g.shape) == 2 else g[k] for g in (g1, g2)), points[k])
-        raise
+    moved = moved_covector(model, g2, points)
+    j2, z2 = extract_coordinates(model, moved)
+    j12, j1 = extract_coordinates(model, _apply(np.stack([moved, coherent_covector(model).eval(z2)]), g1))[0]
     # on numpy scalars, one row at a time: the vectorized complex product
     # and abs can differ from them in the last bit
     residuals = np.array([abs(a - b * c) for a, b, c in zip(j12, j1, j2)])

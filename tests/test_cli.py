@@ -474,6 +474,7 @@ def _input_files(tmp_path) -> dict:
         pytest.param(["kernel", "--model", "su2", "--eval", "1,0", "nan,0"], id="eval-nan"),
         pytest.param(["kernel", "--model", "su2", "--eval", "1,-inf", "0,0"], id="eval-inf"),
         pytest.param(["check", "--model", "su2", "--tol", "nan"], id="tol-nan"),
+        pytest.param(["check", "--model", "su2", "--tol", "-1"], id="tol-negative"),
         pytest.param(["realize", "--model", "su2", "--j", "nan"], id="j-nan"),
         pytest.param(["realize", "--model", "su2", "--j", "inf"], id="j-inf"),
         pytest.param(["realize", "--model", "su11", "--k", "nan"], id="k-nan"),

@@ -824,6 +824,16 @@ def test_stack_shape_mismatches(su2_one):
         group_action(su2_one, np.array([np.eye(d)] * 3), np.zeros((2, n)))
     with pytest.raises(ModelStructureError):
         group_action(su2_one, np.array([np.eye(d)] * 2), np.zeros(n))
+    with pytest.raises(ModelStructureError, match=r"\(2, 2, 1\)"):
+        group_action(su2_one, np.eye(d), np.zeros((2, 2, 1)))
+
+
+def test_group_action_at_a_scalar_point(su2_one, rng):
+    X = derived_matrix(su2_one, AlgebraElement(0.1 * (rng.standard_normal(3) + 1j * rng.standard_normal(3))))
+    for g in (Exp(X), scipy.linalg.expm(X)):
+        J, z = group_action(su2_one, g, 0.2 + 0.1j)
+        J_ref, z_ref = group_action(su2_one, g, [0.2 + 0.1j])
+        assert J == J_ref and z.shape == (1,) and np.array_equal(z, z_ref)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from csorbit import (
     realize_generator,
     symbol,
 )
+import csorbit.orbit as orbit_mod
 from csorbit import realize
 from csorbit.algebra import derived_matrix
 from csorbit.orbit import Exp, act, coherent_covector, extract_coordinates, moved_covector
@@ -409,8 +410,8 @@ def test_cocycle_stack_is_its_rows(name, params, rng):
 
 
 def test_cocycle_stack_raises_first_failing_pair(su2_one, rng):
-    # pair 2 fails in its second group action (onto the polar divisor),
-    # pair 3 in its first (a matrix that is not a group element)
+    # pair 2 fails in the first stage (omega(z) g2 lands on the polar
+    # divisor), pair 3 only in the second (g1 is not a group element)
     J = su2_one.rep.matrices
     antipodal = scipy.linalg.expm((np.pi / 2) * np.array(J[1] - J[2]))
     g1s = np.array([np.eye(3)] * 4, dtype=complex)
@@ -464,42 +465,92 @@ def test_cocycle_by_generators_raises_first_failing_pair(su2_one, rng):
 
 @pytest.mark.parametrize("name,params", [("su2", {"j": 16}), ("su3", {"p": 2, "q": 1})])
 def test_cocycle_is_its_three_separate_actions(name, params, rng):
-    # g1 on omega(z) g2 and on omega(g2.z) as one stack, bit for bit the
-    # composite, g2 and g1 each acting and extracted alone
+    # g1 on omega(z) g2 and on omega(g2.z) as one stack, bit for bit g2
+    # acting, then g1 acting on each of the two, each extracted alone: by
+    # generators, and by matrices as successive row products
     m = load_model(name, **params)
     omega, u64 = coherent_covector(m), lambda a: np.asarray(a).view(np.uint64)
     A1s, A2s = _generators(m, rng, 6), _generators(m, rng, 6)
     points = 0.3 * (rng.standard_normal((6, m.n)) + 1j * rng.standard_normal((6, m.n)))
-    moved = act(omega.eval(points), A2s)
-    (j12, _), (j2, z2) = extract_coordinates(m, act(moved, A1s)), extract_coordinates(m, moved)
-    j1, _ = extract_coordinates(m, act(omega.eval(z2), A1s))
-    reference = [abs(a - b * c) for a, b, c in zip(j12, j1, j2)]
-    assert np.array_equal(u64(cocycle_residual(m, Exp(A1s), Exp(A2s), points)), u64(reference))
-    g1s, g2s = scipy.linalg.expm(A1s), scipy.linalg.expm(A2s)
     times = lambda rows, g: (rows[:, None, :] @ g)[:, 0]
-    (j12, _), (j2, z2) = extract_coordinates(m, times(omega.eval(points), g2s @ g1s)), extract_coordinates(m, times(omega.eval(points), g2s))
-    j1, _ = extract_coordinates(m, times(omega.eval(z2), g1s))
-    reference = [abs(a - b * c) for a, b, c in zip(j12, j1, j2)]
-    assert np.array_equal(u64(cocycle_residual(m, g1s, g2s, points)), u64(reference))
+    for g1, g2, apply in [
+        (Exp(A1s), Exp(A2s), lambda rows, g: act(rows, g.A)),
+        (scipy.linalg.expm(A1s), scipy.linalg.expm(A2s), times),
+    ]:
+        moved = apply(omega.eval(points), g2)
+        (j12, _), (j2, z2) = extract_coordinates(m, apply(moved, g1)), extract_coordinates(m, moved)
+        j1, _ = extract_coordinates(m, apply(omega.eval(z2), g1))
+        reference = [abs(a - b * c) for a, b, c in zip(j12, j1, j2)]
+        assert np.array_equal(u64(cocycle_residual(m, g1, g2, points)), u64(reference))
 
 
 @pytest.mark.parametrize("by_generator", [False, True])
-def test_cocycle_raises_the_composites_error_first(su2_one, rng, by_generator):
+def test_cocycle_raises_the_first_stages_error_first(su2_one, rng, by_generator):
     # g2 moves the point onto the polar divisor (up to rounding) and g1 is
-    # not a group element, so the composite and omega(z) g2 both fail: the
-    # composite's error comes first, as when it was extracted first
+    # not a group element, so omega(z) g2 and the composite both fail:
+    # omega(z) g2 is extracted first, and its error is raised
     J = su2_one.rep.matrices
     A1, A2 = rng.standard_normal((3, 3)), (np.pi / 2) * np.array(J[1] - J[2])
     g1, g2 = (Exp(A1), Exp(A2)) if by_generator else (scipy.linalg.expm(A1), scipy.linalg.expm(A2))
     z = np.zeros((1, 1), dtype=complex)
     moved = moved_covector(su2_one, g2, z)
-    composite = act(moved, A1) if by_generator else moved_covector(su2_one, g2 @ g1, z)
+    composite = act(moved, A1) if by_generator else moved @ g1
     errors = []
     for v in (composite, moved, None):
         with pytest.raises(CsorbitError) as error:
             extract_coordinates(su2_one, v) if v is not None else cocycle_residual(su2_one, g1, g2, z[0])
         errors.append(str(error.value))
-    assert errors[2] == errors[0] != errors[1]
+    assert errors[2] == errors[1] != errors[0]
+
+
+@pytest.mark.parametrize("by_generator", [False, True])
+def test_cocycle_stack_raises_the_first_stages_failing_row(su2_one, rng, by_generator):
+    # row 0 fails only in the second stage (g1 is not a group element), row
+    # 1 in the first (g2 takes z = 0 to its antipodal point): row 1's
+    # omega(z) g2 is extracted first, so its error is raised.  exp(A2)
+    # applied by act leaves mu at rounding level, so that row is off the
+    # orbit rather than exactly on the polar divisor.
+    J = su2_one.rep.matrices
+    A1s, A2s = np.zeros((2, 2, 3, 3), dtype=complex)
+    A1s[0] = rng.standard_normal((3, 3))
+    A2s[1] = (np.pi / 2) * np.array(J[1] - J[2])
+    g1, g2 = (Exp(A1s), Exp(A2s)) if by_generator else (scipy.linalg.expm(A1s), scipy.linalg.expm(A2s))
+    points = np.zeros((2, 1), dtype=complex)
+    expected = PointOffOrbitError if by_generator else PolarDivisorError
+    with pytest.raises(expected) as alone:
+        extract_coordinates(su2_one, moved_covector(su2_one, g2, points)[1])
+    with pytest.raises(expected) as stacked:
+        cocycle_residual(su2_one, g1, g2, points)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_failing_rows_are_not_extracted_again(su2_one, rng, monkeypatch):
+    # a 4-row cocycle that fails in its second stage extracts twice, and a
+    # failing extraction stack raises from its own numbers
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return extract_coordinates(*args)
+
+    monkeypatch.setattr(realize, "extract_coordinates", counted)
+    monkeypatch.setattr(orbit_mod, "extract_coordinates", counted)
+    A1s, A2s = _generators(su2_one, rng, 4), _generators(su2_one, rng, 4)
+    A1s[2] = rng.standard_normal((3, 3))
+    points = np.zeros((4, 1), dtype=complex)
+    with pytest.raises(PointOffOrbitError):
+        cocycle_residual(su2_one, Exp(A1s), Exp(A2s), points)
+    assert len(calls) == 2
+    calls.clear()
+    with pytest.raises(PolarDivisorError):
+        orbit_mod.extract_coordinates(su2_one, np.array([[1.0, 0, 0], [0, 0, 1.0], [0, 0, 1.0]]))
+    assert len(calls) == 1
+
+
+def test_cocycle_at_a_scalar_point(su2_one, rng):
+    A1, A2 = _generators(su2_one, rng, 2)
+    for g1, g2 in [(Exp(A1), Exp(A2)), (scipy.linalg.expm(A1), scipy.linalg.expm(A2))]:
+        assert cocycle_residual(su2_one, g1, g2, 0.2 + 0.1j) == cocycle_residual(su2_one, g1, g2, [0.2 + 0.1j])
 
 
 def test_cocycle_stack_shape_mismatches(su2_one, rng):
